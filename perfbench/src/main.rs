@@ -129,31 +129,35 @@ impl Workload {
 }
 
 /// End-to-end metrics in the JSON result: name and unit.
-const END_TO_END: [(&str, &str); 8] = [
+const END_TO_END: [(&str, &str); 7] = [
     ("decision_p50_ms", "ms"),
     ("decision_p90_ms", "ms"),
     ("tick_p50_ms", "ms"),
     ("tick_p90_ms", "ms"),
     ("decisions_per_s", "1/s"),
-    ("cpu_us_per_decision", "us"),
     ("peak_rss_mb", "MB"),
     ("setup_s", "s"),
 ];
 
-/// End-to-end tails printed with every run but kept out of the JSON: on a
-/// 2-vCPU VM they mostly measure how often the hypervisor deschedules a
-/// vCPU (a pool tick doubles when it does), so they are too unsteady to
-/// gate a change on.
-const PRINTED_ONLY: [(&str, &str); 2] = [("decision_p99_ms", "ms"), ("tick_p99_ms", "ms")];
+/// End-to-end figures printed with every run but kept out of the JSON, as
+/// too unsteady to gate a change on. On a 2-vCPU VM the tails mostly
+/// measure how often the hypervisor deschedules a vCPU (a pool tick doubles
+/// when it does). The serving process's CPU per decision on `wire_replay`
+/// follows how cold the host left its caches between frames, and moves
+/// from one run to the next by more than the widest bound a gated metric
+/// may have (see README.md). The traced run reports it as a per-layer
+/// metric.
+const PRINTED_ONLY: [(&str, &str); 3] =
+    [("decision_p99_ms", "ms"), ("tick_p99_ms", "ms"), ("cpu_us_per_decision", "us")];
 
 /// Per-layer metrics: name, unit, and the end-to-end metric and workload
 /// each should move.
-const PER_LAYER: [(&str, &str, &str); 37] = [
+const PER_LAYER: [(&str, &str, &str); 38] = [
     ("ingress.client.send_us", "us", "decision_p50_ms on wire_*"),
     ("ingress.client.recv_us", "us", "decision_p50_ms on wire_*"),
-    ("ingress.codec.decode_frame_ns", "ns", "cpu_us_per_decision on wire_replay"),
-    ("ingress.codec.encode_decision_ns", "ns", "cpu_us_per_decision on wire_replay"),
-    ("ingress.codec.frame_bytes", "B", "cpu_us_per_decision on wire_replay"),
+    ("ingress.codec.decode_frame_ns", "ns", "decision_p50_ms on wire_replay"),
+    ("ingress.codec.encode_decision_ns", "ns", "decision_p50_ms on wire_replay"),
+    ("ingress.codec.frame_bytes", "B", "decision_p50_ms on wire_replay"),
     ("ingress.session.open_ms_p50", "ms", "decision_p90_ms on wire_replay"),
     ("ingress.session.open_ms_p99", "ms", "decision_p90_ms on wire_replay"),
     ("ingress.session.close_ms", "ms", "decision_p90_ms on wire_replay"),
@@ -172,13 +176,13 @@ const PER_LAYER: [(&str, &str, &str); 37] = [
     ("core.serve.remove_session_us", "us", "decision_p90_ms on wire_replay"),
     ("core.serve.occupancy_skew", "count", "decision_p90_ms on wire_replay"),
     ("core.engine.step_us.f32", "us", "decisions_per_s on pool_saturate"),
-    ("core.engine.step_us.int8", "us", "cpu_us_per_decision on wire_replay"),
+    ("core.engine.step_us.int8", "us", "decision_p50_ms on wire_replay"),
     ("core.engine.step_batch_us_per_job", "us", "decisions_per_s on pool_saturate"),
     ("core.engine.warm_ratio", "ratio", "decisions_per_s on pool_saturate"),
     ("nn.stage1.f32_us", "us", "decisions_per_s on pool_saturate"),
-    ("nn.stage1.int8_us", "us", "cpu_us_per_decision on wire_replay"),
+    ("nn.stage1.int8_us", "us", "decision_p50_ms on wire_replay"),
     ("nn.stage2.f32_us", "us", "decisions_per_s on pool_saturate"),
-    ("nn.stage2.int8_us", "us", "cpu_us_per_decision on wire_replay"),
+    ("nn.stage2.int8_us", "us", "decision_p50_ms on wire_replay"),
     ("nn.stage1.flops", "flop", "decisions_per_s on pool_saturate"),
     ("nn.stage2.flops", "flop", "decisions_per_s on pool_saturate"),
     ("kinematics.features_ns", "ns", "decisions_per_s on pool_saturate"),
@@ -186,6 +190,7 @@ const PER_LAYER: [(&str, &str, &str); 37] = [
     ("loadgen.send_lag_p99_ms", "ms", "health: how late the generator ran"),
     ("loadgen.recv_poll_us", "us", "health: receive resolution"),
     ("trace.overhead_ratio", "ratio", "health: traced over untraced"),
+    ("cpu_us_per_decision", "us", "whole serving process, untraced pass: every layer's CPU"),
 ];
 
 /// Named measurements, passed between the two processes as one
