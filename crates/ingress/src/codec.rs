@@ -215,6 +215,7 @@ pub struct DecisionMsg {
 impl DecisionMsg {
     /// Converts a pool decision (minus its session id, which the wire
     /// carries implicitly — one session per connection) to wire form.
+    // lint: hot-path
     pub fn from_decision(seq: u32, output: Option<&context_monitor::MonitorOutput>) -> DecisionMsg {
         match output {
             None => DecisionMsg {

@@ -11,10 +11,11 @@
 //!   vendored `bytes`; allocation-free encode/decode on the per-frame
 //!   path; malformed input is a typed [`codec::ProtoError`], never a
 //!   panic.
-//! - [`server`] — std-net TCP front end: acceptor + per-connection
-//!   reader/writer threads bridged to the pool over crossbeam channels,
-//!   with an admission controller that *sheds* (typed BUSY) instead of
-//!   delaying admitted sessions.
+//! - [`server`] — std-net TCP front end: one nonblocking event loop
+//!   thread owns the listener, every connection and the pool, so the
+//!   service runs `workers + 1` threads at any connection count; its
+//!   admission controller *sheds* (typed BUSY) instead of delaying
+//!   admitted sessions.
 //! - [`client`] — blocking client used by tests and tools.
 //! - [`loadgen`] — closed-loop load generator: hundreds of concurrent
 //!   synthetic sessions, per-frame round-trip latency quantiles, shed

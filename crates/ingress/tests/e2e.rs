@@ -9,16 +9,19 @@
 //! The rest pins the service's failure behavior: admission control sheds
 //! with a typed BUSY (and readmits once a session ends — elasticity),
 //! and every flavor of malformed client gets a typed ERROR plus a closed
-//! connection, never a panic, a stalled worker, or a poisoned pool.
+//! connection, never a panic, a stalled worker, or a poisoned pool. A
+//! client that pipelines its whole stream before reading, and one that
+//! stalls mid-FRAME beside a live session, leave every stream bit-exact.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use bytes::BytesMut;
 use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
 use context_monitor::{ContextMode, MonitorConfig, TrainedPipeline};
 use gestures::Task;
 use ingress::client::{ClientError, Connection, ServerMsg};
-use ingress::codec::{DecisionMsg, ErrorCode, WIRE_VERSION};
+use ingress::codec::{encode_frame, DecisionMsg, ErrorCode, WIRE_VERSION};
 use ingress::server::{IngressServer, ServerConfig};
 use jigsaws::{generate, GeneratorConfig};
 use kinematics::{Dataset, FeatureSet};
@@ -288,4 +291,75 @@ fn malformed_clients_get_typed_errors_and_the_service_survives() {
     let (keys, _) = socket_session_keys(&addr, ContextMode::Predicted, 0);
     let want = in_process_keys(ContextMode::Predicted, 1, 2);
     assert_eq!(keys, want[0], "service must stay bit-exact after malformed clients");
+}
+
+#[test]
+fn pipelined_client_gets_every_decision_then_bye() {
+    // HELLO, a whole demo's FRAMEs and GOODBYE go out before the client
+    // reads a byte, so GOODBYE lands while decisions are still in flight:
+    // BYE must wait for the last of them.
+    let mode = ContextMode::Predicted;
+    let server = start_server(mode, 4, 2);
+    let (_, ds) = fixture();
+    let demo = &ds.demos[0];
+    let mut conn = Connection::connect(server.local_addr()).expect("connect");
+    conn.send_hello(false).expect("hello");
+    for (t, frame) in demo.frames.iter().enumerate() {
+        conn.send_frame(t as u32, None, frame).expect("send frame");
+    }
+    conn.send_goodbye().expect("goodbye");
+
+    assert!(matches!(conn.recv().expect("welcome"), ServerMsg::Welcome { .. }));
+    let mut keys = Vec::new();
+    for t in 0..demo.len() {
+        match conn.recv().expect("decision") {
+            ServerMsg::Decision(d) => {
+                assert_eq!(d.seq, t as u32, "decisions must arrive in frame order");
+                keys.push(d.key());
+            }
+            other => panic!("expected DECISION {t}, got {other:?}"),
+        }
+    }
+    match conn.recv().expect("bye") {
+        ServerMsg::Bye { delivered } => assert_eq!(delivered, demo.len() as u64),
+        other => panic!("expected BYE, got {other:?}"),
+    }
+    assert_eq!(keys, in_process_keys(mode, 1, 2)[0], "pipelined stream differs from the pool");
+}
+
+#[test]
+fn stalled_client_does_not_hold_up_other_sessions() {
+    let mode = ContextMode::Predicted;
+    let server = start_server(mode, 4, 2);
+    let addr = server.local_addr().to_string();
+    let (_, ds) = fixture();
+
+    // An admitted client sends half of a FRAME and goes quiet.
+    let mut stalled = Connection::connect(&addr).expect("connect");
+    stalled.send_hello(false).expect("hello");
+    assert!(matches!(stalled.recv().expect("welcome"), ServerMsg::Welcome { .. }));
+    let mut frame = BytesMut::new();
+    encode_frame(&mut frame, 0, None, &ds.demos[1].frames[0]);
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    stalled.send_raw(head).expect("half a frame");
+
+    // Another session streams a demo closed-loop meanwhile. A server that
+    // blocked on the stalled socket would never answer it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let streamer = std::thread::spawn(move || {
+        let _ = tx.send(socket_session_keys(&addr, mode, 0));
+    });
+    let (keys, delivered) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("session failed, or blocked behind the stalled client");
+    streamer.join().expect("streaming thread");
+    assert_eq!(delivered, ds.demos[0].len() as u64);
+    assert_eq!(keys, in_process_keys(mode, 1, 2)[0], "stream differs beside a stalled client");
+
+    // The stalled frame completes once the rest of it arrives.
+    stalled.send_raw(tail).expect("rest of the frame");
+    match stalled.recv().expect("decision") {
+        ServerMsg::Decision(d) => assert_eq!(d.seq, 0),
+        other => panic!("expected DECISION, got {other:?}"),
+    }
 }

@@ -5,7 +5,9 @@
 //! mitigation engaged (the worst case: alert bookkeeping plus command
 //! gating on every tick) — and around the **pooled** reactor tick
 //! (gate apply → pool submit → barrier drain → decision routing), where
-//! the counting allocator also observes the shard worker thread.
+//! the counting allocator also observes the shard worker thread — and
+//! around a socket round trip through the ingress server, where it
+//! observes the client, the event loop and the shard worker.
 //!
 //! This file must contain exactly one test: the counting allocator is
 //! process-global, and a concurrently running test would pollute the count.
@@ -13,6 +15,8 @@
 use context_monitor::serve::{Decision, ServeConfig, ShardedMonitorPool};
 use context_monitor::{ContextMode, MonitorConfig, Precision, SafetyMonitor, TrainedPipeline};
 use gestures::Task;
+use ingress::client::{Connection, ServerMsg};
+use ingress::server::{IngressServer, ServerConfig};
 use jigsaws::{generate, GeneratorConfig};
 use kinematics::{FeatureSet, Vec3};
 use raven_sim::{ArmCommand, CommandFilter, Commands};
@@ -314,5 +318,49 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
     assert_eq!(
         allocations, 0,
         "steady-state int8 pooled tick allocated {allocations} times over {measured} ticks"
+    );
+
+    // Part 5: the wire. One closed-loop round trip per frame through a real
+    // socket: client encode + send, the ingress event loop's read → decode
+    // → submit, the shard worker's step, the loop's route → encode →
+    // write, and the client's read + decode. The allocator counts the
+    // client, loop and shard threads alike, so the whole round trip must
+    // be allocation-free once warm.
+    drop(pool);
+    let server = IngressServer::start(
+        Arc::clone(&pipeline),
+        ServerConfig {
+            serve: ServeConfig { workers: 1, threshold: 0.5, precision: Precision::Int8 },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ingress server");
+    let mut conn = Connection::connect(server.local_addr()).expect("connect");
+    conn.send_hello(false).expect("hello");
+    assert!(matches!(conn.recv().expect("welcome"), ServerMsg::Welcome { .. }));
+    let round_trip = |t: usize, conn: &mut Connection| {
+        conn.send_frame(t as u32, None, &demo.frames[t]).expect("frame");
+        match conn.recv().expect("decision") {
+            ServerMsg::Decision(d) => d.warm,
+            other => panic!("expected DECISION, got {other:?}"),
+        }
+    };
+    for t in 0..warm + measured {
+        round_trip(t, &mut conn);
+    }
+
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let mut emitted = 0usize;
+    for t in warm + measured..warm + 2 * measured {
+        emitted += round_trip(t, &mut conn) as usize;
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(emitted, measured, "wire session should be warm throughout");
+    assert_eq!(
+        allocations, 0,
+        "steady-state socket round trip allocated {allocations} times over {measured} frames"
     );
 }
