@@ -8,6 +8,7 @@
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use context_monitor::serve::ServeConfig;
 use context_monitor::{MonitorConfig, TrainedPipeline};
@@ -28,6 +29,20 @@ fn status(field: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {field} in /proc/self/status"))
 }
 
+/// `Threads` once it reads `want`, else its last reading after 5 s. A
+/// joined thread can stay counted for a moment after `join` returns, so
+/// the training threads may still show right after training.
+fn threads_settling_at(want: u64) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let threads = status("Threads");
+        if threads == want || Instant::now() > deadline {
+            return threads;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 fn open(addr: &str) -> Connection {
     let mut conn = Connection::connect(addr).expect("connect");
     conn.send_hello(false).expect("hello");
@@ -42,6 +57,7 @@ fn close(mut conn: Connection) {
 
 #[test]
 fn workers_plus_one_threads_and_flat_memory_across_sessions() {
+    let before = status("Threads");
     let ds = generate(&GeneratorConfig::fast(Task::Suturing).with_seed(11));
     let mut cfg = MonitorConfig::fast(FeatureSet::CRG).with_seed(11 ^ 0xA5);
     cfg.train.epochs = 2;
@@ -50,7 +66,6 @@ fn workers_plus_one_threads_and_flat_memory_across_sessions() {
     let pipeline = Arc::new(TrainedPipeline::train(&ds, &idx, &cfg));
 
     let workers = 2;
-    let before = status("Threads");
     let server = IngressServer::start(
         pipeline,
         ServerConfig {
@@ -62,7 +77,11 @@ fn workers_plus_one_threads_and_flat_memory_across_sessions() {
     .expect("bind ingress server");
     let addr = server.local_addr().to_string();
     let serving = before + workers as u64 + 1;
-    assert_eq!(status("Threads"), serving, "start adds the event loop and {workers} shard workers");
+    assert_eq!(
+        threads_settling_at(serving),
+        serving,
+        "start adds the event loop and {workers} shard workers"
+    );
 
     let sessions: Vec<Connection> = (0..8).map(|_| open(&addr)).collect();
     assert_eq!(status("Threads"), serving, "open sessions must not add threads");
