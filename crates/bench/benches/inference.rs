@@ -11,7 +11,7 @@
 //! pre-refactor baseline the acceptance criterion compares against.
 
 use bench::{jigsaws_dataset, suturing_monitor_cfg, Scale};
-use context_monitor::{ContextMode, MonitorPool, SafetyMonitor, TrainedPipeline};
+use context_monitor::{ContextMode, InferenceEngine, TrainedPipeline};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gestures::Task;
 use nn::Mat;
@@ -85,33 +85,16 @@ fn bench_inference(c: &mut Criterion) {
         })
     });
 
-    // Streaming monitor: cost of one frame push end-to-end (feature
+    // Streaming engine: cost of one frame step end-to-end (feature
     // extraction, normalization, windowing, both stages, smoothing).
-    let saved = pipeline.save();
-    let mut monitor =
-        SafetyMonitor::new(TrainedPipeline::from_saved(saved), ContextMode::Predicted);
+    let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
     let warm = cfg.window.width.max(cfg.gesture_window);
     for frame in demo.frames.iter().take(warm) {
-        let _ = monitor.push(frame);
+        let _ = engine.step(&pipeline, frame);
     }
     let frame = demo.frames[warm].clone();
-    c.bench_function("monitor_push_frame", |b| {
-        b.iter(|| black_box(monitor.push(black_box(&frame))))
-    });
-
-    // Many concurrent sessions over one shared pipeline.
-    let mut pool = MonitorPool::with_sessions(monitor.into_pipeline(), ContextMode::Predicted, 8);
-    for frame in demo.frames.iter().take(warm) {
-        for s in 0..8 {
-            let _ = pool.push(s, frame);
-        }
-    }
-    let mut next_session = 0usize;
-    c.bench_function("pool_push_frame (8 sessions)", |b| {
-        b.iter(|| {
-            next_session = (next_session + 1) % 8;
-            black_box(pool.push(next_session, black_box(&frame)))
-        })
+    c.bench_function("engine_step_frame", |b| {
+        b.iter(|| black_box(engine.step(&pipeline, black_box(&frame))))
     });
 }
 

@@ -1,7 +1,7 @@
 //! Serving throughput and density: decisions/sec and **sessions-per-core**
-//! of the sharded `ShardedMonitorPool` vs. the single-threaded sequential
-//! `MonitorPool` baseline, across session count × worker count × numeric
-//! tier (f32 vs the calibrated int8 quantized tier).
+//! of the sharded `ShardedMonitorPool` vs. a single-threaded sequential
+//! baseline (one `InferenceEngine` per session), across session count ×
+//! worker count × numeric tier (f32 vs the calibrated int8 quantized tier).
 //!
 //! The acceptance criterion for the serving layer is **≥ 2× decisions/sec
 //! over the single-threaded baseline at 16 sessions on 4 worker threads**;
@@ -21,7 +21,7 @@
 
 use bench::{jigsaws_dataset, suturing_monitor_cfg, Scale};
 use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
-use context_monitor::{ContextMode, MonitorPool, PoolStats, Precision, TrainedPipeline};
+use context_monitor::{ContextMode, InferenceEngine, PoolStats, Precision, TrainedPipeline};
 use gestures::Task;
 use kinematics::KinematicSample;
 use std::sync::Arc;
@@ -53,28 +53,25 @@ struct Row {
     stats: PoolStats,
 }
 
-/// Sequential baseline: every frame of every session through the
-/// single-threaded pool, round-robin over sessions per time step (the same
+/// Sequential baseline: every frame of every session through its own
+/// engine on one thread, round-robin over sessions per time step (the same
 /// submission order the sharded pool receives). Always the f32 tier — the
-/// sequential pool is the historical reference the speedup column is
+/// sequential run is the historical reference the speedup column is
 /// anchored to.
-fn run_sequential(
-    pipeline: TrainedPipeline,
-    sessions: usize,
-    w: &Workload,
-) -> (TrainedPipeline, f64, usize) {
-    let mut pool = MonitorPool::with_sessions(pipeline, ContextMode::Predicted, sessions);
+fn run_sequential(pipeline: &TrainedPipeline, sessions: usize, w: &Workload) -> (f64, usize) {
+    let mut engines: Vec<InferenceEngine> =
+        (0..sessions).map(|_| InferenceEngine::new(pipeline, ContextMode::Predicted)).collect();
     let start = Instant::now();
     let mut decisions = 0usize;
     for t in 0..w.frames_per_session {
-        for s in 0..sessions {
-            if pool.push(s, w.frame(t)).expect("Predicted mode").is_some() {
+        for engine in &mut engines {
+            if engine.step(pipeline, w.frame(t)).expect("Predicted mode").complete().is_some() {
                 decisions += 1;
             }
         }
     }
     let elapsed = start.elapsed().as_secs_f64();
-    (pool.into_pipeline(), decisions as f64 / elapsed, decisions)
+    (decisions as f64 / elapsed, decisions)
 }
 
 /// Sharded pool on a chosen numeric tier: identical submission order;
@@ -109,6 +106,7 @@ fn main() {
     let idx: Vec<usize> = (0..ds.len()).collect();
     let mut pipeline = TrainedPipeline::train(&ds, &idx, &cfg);
     pipeline.quantize(&ds, &idx).expect("built-in specs are quantizable");
+    let shared = Arc::new(pipeline);
 
     let workload = Workload {
         frames: ds.demos[0].frames.clone(),
@@ -136,16 +134,14 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &sessions in session_counts {
-        let (returned, baseline_rate, baseline_n) = run_sequential(pipeline, sessions, &workload);
-        pipeline = returned;
+        let (baseline_rate, baseline_n) = run_sequential(&shared, sessions, &workload);
         println!(
             "{:<44} {:>12.0} {:>8.2}x {:>10.1}",
-            format!("sequential f32 MonitorPool, {sessions} sessions"),
+            format!("sequential f32 engines, {sessions} sessions"),
             baseline_rate,
             1.0,
             baseline_rate / FRAME_HZ
         );
-        let shared = Arc::new(pipeline);
         for &tier in &tiers {
             // The f32 rate at the same (sessions, workers) anchors the
             // int8 density comparison, so f32 runs first in `tiers`.
@@ -176,7 +172,6 @@ fn main() {
                 rows.push(Row { tier, sessions, workers, rate, sessions_per_core, stats });
             }
         }
-        pipeline = Arc::try_unwrap(shared).ok().expect("workers joined");
     }
 
     // Density verdict: int8 vs f32 at each shared configuration.

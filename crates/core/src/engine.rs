@@ -1,22 +1,23 @@
 //! The shared incremental inference core.
 //!
-//! Both deployment shapes of the monitor — offline replay
-//! ([`TrainedPipeline::run_demo`](crate::pipeline::TrainedPipeline::run_demo))
-//! and online streaming ([`SafetyMonitor`](crate::monitor::SafetyMonitor) /
-//! [`MonitorPool`](crate::monitor::MonitorPool)) — are thin adapters over
-//! [`InferenceEngine`]: an allocation-free, frame-at-a-time evaluator that
-//! owns the per-session state (sliding windows, the causal gesture-smoothing
-//! filter, and inference scratch buffers) while the model weights stay in the
-//! shared [`TrainedPipeline`]. Offline/online agreement is therefore true by
-//! construction: the two paths execute literally the same code.
+//! Every deployment shape of the monitor — offline replay
+//! ([`TrainedPipeline::run_demo`](crate::pipeline::TrainedPipeline::run_demo)),
+//! one streaming session ([`InferenceEngine::step`]) and the sharded pool
+//! ([`ShardedMonitorPool`](crate::serve::ShardedMonitorPool), via
+//! [`step_batch`]) — drives [`InferenceEngine`]: an allocation-free,
+//! frame-at-a-time evaluator that owns the per-session state (sliding
+//! windows, the causal gesture-smoothing filter, and inference scratch
+//! buffers) while the model weights stay in the shared [`TrainedPipeline`].
+//! Offline/online agreement is therefore true by construction: the two
+//! paths execute literally the same code.
 //!
 //! Per frame, the steady-state hot path performs **no heap allocation**:
 //! feature extraction, normalization, windowing, both network forward passes
 //! (via [`nn::Network::predict_into`]), the softmax, and the majority filter
 //! all reuse preallocated buffers. The paper reports 1.5–3.2 ms per-sample
 //! compute (Table VIII); keeping the per-frame path allocation-free is what
-//! lets one process multiplex many concurrent surgical sessions
-//! ([`MonitorPool`](crate::monitor::MonitorPool)) at that budget.
+//! lets one process multiplex many concurrent surgical sessions at that
+//! budget.
 
 use crate::config::Precision;
 use crate::pipeline::{ContextMode, ErrorRoute, QuantizedPipeline, TrainedPipeline};
@@ -40,9 +41,9 @@ fn quantized(pipeline: &TrainedPipeline) -> &QuantizedPipeline {
 /// process hosting other sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineError {
-    /// [`InferenceEngine::step`] (or a monitor `push`) was called on a
+    /// [`InferenceEngine::step`] (or a pool `submit`) was called on a
     /// [`ContextMode::Perfect`] engine, which needs externally supplied
-    /// gesture boundaries (`step_with_context` / `push_with_context`).
+    /// gesture boundaries (`step_with_context` / `submit_with_context`).
     MissingContext,
 }
 
@@ -51,7 +52,7 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::MissingContext => f.write_str(
                 "ContextMode::Perfect requires externally supplied gesture context \
-                 (use step_with_context / push_with_context)",
+                 (use step_with_context / submit_with_context)",
             ),
         }
     }
@@ -203,7 +204,7 @@ impl EngineStep {
 /// Incremental two-stage evaluator holding **only per-session state**; model
 /// weights live in the [`TrainedPipeline`] passed to every [`step`](Self::step),
 /// so many engines can share one pipeline (see
-/// [`MonitorPool`](crate::monitor::MonitorPool)).
+/// [`ShardedMonitorPool`](crate::serve::ShardedMonitorPool)).
 ///
 /// The engine must be stepped with the pipeline it was created from (or an
 /// identically configured one); window widths and feature dimensions are
@@ -630,7 +631,7 @@ pub fn step_batch(
         };
         let Some(route_class) = routing else { continue };
         match pipeline.error_route(route_class, e.mode) {
-            // No classifier for this route: scored 0, like score_window.
+            // No classifier for this route: scored 0, like score_window_scratch.
             // lint: allow(panic, reason = "scores was resized to jobs.len(), so j is in range")
             None => scores[j] = Some(0.0),
             Some(route) => pending.push((j, route)),
@@ -778,5 +779,61 @@ mod tests {
         assert!(filter.is_empty());
         assert_eq!(filter.majority(), None);
         assert_eq!(filter.push(0), 0);
+    }
+
+    fn trained() -> (TrainedPipeline, kinematics::Dataset) {
+        use gestures::Task;
+        use jigsaws::{generate, GeneratorConfig};
+        let ds = generate(&GeneratorConfig::fast(Task::Suturing).with_seed(31));
+        let mut cfg = crate::config::MonitorConfig::fast(kinematics::FeatureSet::CRG).with_seed(5);
+        cfg.train.epochs = 3;
+        cfg.train_stride = 4;
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        (TrainedPipeline::train(&ds, &idx, &cfg), ds)
+    }
+
+    #[test]
+    fn engine_warms_up_before_emitting() {
+        let (pipeline, ds) = trained();
+        let warm = pipeline.config.window.width.max(pipeline.config.gesture_window);
+        let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
+        for (i, frame) in ds.demos[0].frames.iter().enumerate().take(warm) {
+            let step = engine.step(&pipeline, frame).expect("Predicted mode cannot fail");
+            assert_eq!(step.complete().is_some(), i + 1 >= warm, "frame {i}");
+        }
+    }
+
+    /// The deterministic fields of every step, scores as bit patterns.
+    fn replay(
+        engine: &mut InferenceEngine,
+        pipeline: &TrainedPipeline,
+        frames: &[KinematicSample],
+    ) -> Vec<(Option<Gesture>, Option<u32>)> {
+        frames
+            .iter()
+            .map(|f| engine.step(pipeline, f).expect("Predicted mode cannot fail"))
+            .map(|s| (s.gesture, s.unsafe_score.map(f32::to_bits)))
+            .collect()
+    }
+
+    #[test]
+    fn engine_reset_is_bit_equal_to_a_fresh_engine() {
+        let (pipeline, ds) = trained();
+        let frames = &ds.demos[0].frames;
+        let fresh =
+            replay(&mut InferenceEngine::new(&pipeline, ContextMode::Predicted), &pipeline, frames);
+
+        // Same engine, dirtied by a partial run of a *different* demo
+        // (windows and majority filter populated), then reset.
+        let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
+        replay(&mut engine, &pipeline, &ds.demos[1].frames[..40]);
+        assert_eq!(engine.frames_seen(), 40);
+        engine.reset();
+        assert_eq!(engine.frames_seen(), 0);
+        assert_eq!(
+            replay(&mut engine, &pipeline, frames),
+            fresh,
+            "post-reset output must be bit-equal to a fresh engine"
+        );
     }
 }

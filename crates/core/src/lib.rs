@@ -12,7 +12,7 @@
 //! perfect-boundary mode as the upper bound (Table VIII's three rows).
 //!
 //! ```no_run
-//! use context_monitor::{ContextMode, MonitorConfig, SafetyMonitor, TrainedPipeline};
+//! use context_monitor::{ContextMode, InferenceEngine, MonitorConfig, TrainedPipeline};
 //! use gestures::Task;
 //! use jigsaws::{generate, GeneratorConfig};
 //! use kinematics::FeatureSet;
@@ -22,20 +22,21 @@
 //! let cfg = MonitorConfig::fast(FeatureSet::CRG);
 //! let pipeline = TrainedPipeline::train(&dataset, &fold.train, &cfg);
 //!
-//! // Stream kinematics through the online monitor.
-//! let mut monitor = SafetyMonitor::new(pipeline, ContextMode::Predicted);
+//! // Stream kinematics through one session's engine.
+//! let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
 //! for frame in &dataset.demos[fold.test[0]].frames {
-//!     if let Some(out) = monitor.push(frame).expect("Predicted mode needs no context") {
-//!         if out.alert {
-//!             println!("unsafe {} (p={:.2})", out.gesture, out.unsafe_probability);
+//!     let step = engine.step(&pipeline, frame).expect("Predicted mode needs no context");
+//!     if let Some((gesture, p)) = step.complete() {
+//!         if p > 0.5 {
+//!             println!("unsafe {gesture} (p={p:.2})");
 //!         }
 //!     }
 //! }
 //! ```
 //!
-//! For production-scale serving — many concurrent sessions sharded across
-//! worker threads over one shared read-only pipeline, with cross-session
-//! micro-batching — see [`serve::ShardedMonitorPool`].
+//! For many concurrent sessions — sharded across worker threads over one
+//! shared read-only pipeline, with cross-session micro-batching — see
+//! [`serve::ShardedMonitorPool`].
 
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the math in numeric kernels
@@ -43,7 +44,6 @@
 pub mod config;
 pub mod engine;
 pub mod models;
-pub mod monitor;
 pub mod pipeline;
 pub mod report;
 pub mod serve;
@@ -53,7 +53,6 @@ pub use engine::{
     step_batch, BatchJob, BatchScratch, EngineError, EngineStep, InferenceEngine, MajorityFilter,
 };
 pub use models::{error_classifier_spec, gesture_classifier_spec};
-pub use monitor::{MonitorOutput, MonitorPool, SafetyMonitor, SessionId};
 pub use pipeline::{
     ContextMode, ErrorRoute, GestureTrainStats, MonitorRun, QuantizedPipeline, SavedPipeline,
     TrainStages, TrainedPipeline,
@@ -63,4 +62,6 @@ pub use report::{
     ClosedLoopSummary, DemoEval, GestureRow, LatencyStats, PipelineEval, PoolStats,
     REACTION_LOOKBACK_S,
 };
-pub use serve::{parallel_map, Decision, ServeConfig, ShardedMonitorPool};
+pub use serve::{
+    parallel_map, Decision, MonitorOutput, ServeConfig, SessionId, ShardedMonitorPool,
+};

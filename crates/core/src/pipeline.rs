@@ -346,8 +346,8 @@ impl TrainedPipeline {
     ///
     /// Offline replay **is** the streaming path: this drives one
     /// [`InferenceEngine`] over the frames, so the outputs from the first
-    /// fully warm frame onward are bit-identical to what
-    /// [`SafetyMonitor::push`](crate::monitor::SafetyMonitor::push) emits.
+    /// fully warm frame onward are bit-identical to what a streaming
+    /// [`InferenceEngine::step`] emits.
     /// Frames before a stage's first output inherit that first output
     /// (warm-up backfill).
     ///
@@ -464,21 +464,10 @@ impl TrainedPipeline {
 
     /// Scores one window's unsafe probability, routing to the
     /// gesture-specific classifier (with global fallback) or the global
-    /// classifier depending on `mode`. Convenience wrapper that allocates
-    /// fresh scratch; the hot path uses
-    /// [`TrainedPipeline::score_window_scratch`].
-    pub fn score_window(&self, window: &Mat, gesture: usize, mode: ContextMode) -> f32 {
-        let mut logits = Mat::zeros(0, 0);
-        let mut probs = [0.0f32; 2];
-        let mut scratch = self.error_scratch();
-        self.score_window_scratch(window, gesture, mode, &mut logits, &mut probs, &mut scratch)
-    }
-
-    /// Allocation-free [`TrainedPipeline::score_window`]: the forward pass
-    /// writes into `logits`, the softmax into `probs`, and all intermediate
-    /// activations into the caller's `scratch`, so the pipeline itself
-    /// stays immutable (shareable across threads). Bit-identical results to
-    /// `score_window`.
+    /// classifier depending on `mode`; 0 when no classifier exists. The
+    /// forward pass writes into `logits`, the softmax into `probs`, and all
+    /// intermediate activations into the caller's `scratch`, so the
+    /// pipeline itself stays immutable (shareable across threads).
     // lint: hot-path
     pub fn score_window_scratch(
         &self,
@@ -569,12 +558,6 @@ impl TrainedPipeline {
         };
         self.quantized = Some(QuantizedPipeline { gesture_net, error_nets, global_error_net });
         Ok(())
-    }
-
-    /// Scratch fitting any quantized stage-2 classifier (all buffers are
-    /// high-water; one scratch serves every route).
-    pub fn quant_scratch(&self) -> QuantScratch {
-        QuantScratch::default()
     }
 
     /// [`TrainedPipeline::score_window_scratch`] on the int8 tier: same

@@ -1,10 +1,10 @@
 //! Sharded, multi-threaded serving: many concurrent surgical sessions
 //! partitioned across worker threads over one shared read-only model.
 //!
-//! [`ShardedMonitorPool`] is the production form of
-//! [`MonitorPool`](crate::monitor::MonitorPool): sessions are placed on the
-//! least-occupied of `workers` shard threads (round-robin while nobody
-//! leaves), frames travel to their shard over a crossbeam channel
+//! [`ShardedMonitorPool`] is the one multi-session form of the monitor (a
+//! single session steps its own [`InferenceEngine`]): sessions are placed
+//! on the least-occupied of `workers` shard threads (round-robin while
+//! nobody leaves), frames travel to their shard over a crossbeam channel
 //! (ingress), and decisions come back tagged with their session on a shared
 //! egress channel. The fleet is **elastic**: sessions can be
 //! [removed](ShardedMonitorPool::remove_session) at any time — their engine
@@ -23,9 +23,9 @@
 //! of all warm sessions into one batched network evaluation and groups
 //! stage-2 windows by their routed error classifier. Determinism is part of
 //! the contract: per session, the emitted decisions are **bit-exactly** the
-//! ones the sequential `MonitorPool` produces, for every `ContextMode` —
-//! batching changes wall-clock, never floats (asserted by
-//! `tests/serve_equivalence.rs`).
+//! ones a lone [`InferenceEngine`] produces when stepped frame by frame, for
+//! every `ContextMode` — batching changes wall-clock, never floats
+//! (asserted by `tests/serve_equivalence.rs`).
 //!
 //! The module also hosts the workspace's one audited fork-join primitive,
 //! [`parallel_map`], reused by the fault-injection campaign
@@ -34,12 +34,12 @@
 
 use crate::config::Precision;
 use crate::engine::{step_batch, BatchJob, BatchScratch, EngineError, EngineStep, InferenceEngine};
-use crate::monitor::{output_from_step, MonitorOutput, SessionId};
 use crate::pipeline::{ContextMode, TrainedPipeline};
 use crate::report::{LatencyStats, PoolStats};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use gestures::Gesture;
 use kinematics::KinematicSample;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,6 +65,38 @@ impl Default for ServeConfig {
     }
 }
 
+/// Identifier of a session inside a [`ShardedMonitorPool`].
+pub type SessionId = usize;
+
+/// One monitor decision for the newest frame.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct MonitorOutput {
+    /// Inferred operational context.
+    pub gesture: Gesture,
+    /// Probability that the current gesture is unsafe.
+    pub unsafe_probability: f32,
+    /// Whether the alert threshold was crossed.
+    pub alert: bool,
+    /// Inference latency for this frame (ms) — the paper's "average
+    /// computation time" (Table VIII reports 1.5–3.2 ms).
+    pub compute_ms: f32,
+}
+
+/// Converts a warm engine step into a monitor decision. The engine emits a
+/// typed [`Gesture`] (provably in-range at the filter boundary), so no
+/// index-to-gesture fallback exists on this path any more — an earlier
+/// revision mapped out-of-range indices to `Gesture::G1` via `unwrap_or`,
+/// silently reporting a wrong operational context.
+// lint: hot-path
+pub(crate) fn output_from_step(
+    step: &EngineStep,
+    threshold: f32,
+    compute_ms: f32,
+) -> Option<MonitorOutput> {
+    let (gesture, score) = step.complete()?;
+    Some(MonitorOutput { gesture, unsafe_probability: score, alert: score > threshold, compute_ms })
+}
+
 /// One per-frame result coming back over the egress channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
@@ -73,7 +105,7 @@ pub struct Decision {
     /// Zero-based index of the frame within its session's stream.
     pub frame: usize,
     /// The monitor decision, once the session is warm (`None` during
-    /// warm-up, exactly like `MonitorPool::push` returning `Ok(None)`).
+    /// warm-up, exactly when [`EngineStep::complete`] is `None`).
     pub output: Option<MonitorOutput>,
 }
 
@@ -87,19 +119,17 @@ enum Job {
     /// Binds `session` to engine slot `slot` of this shard: a fresh slot
     /// (`slot == engines.len()`) grows the shard, a recycled slot is reset
     /// first. Queued in job order, so frames of the slot's previous tenant
-    /// (all enqueued before the [`Job::Unbind`] that freed it) are scored
+    /// (all enqueued before the [`Job::Reset`] that freed it) are scored
     /// and emitted under the old session id before the new tenant starts.
     Bind {
         slot: usize,
         session: SessionId,
     },
-    /// Frees a slot on session removal: the tick in flight (if the slot is
-    /// in it) runs first so the session's last queued frame still emits its
-    /// decision, then the engine resets for the next tenant.
-    Unbind {
-        slot: usize,
-    },
-    ResetSession {
+    /// Rewinds a slot to a cold engine, on session removal and on
+    /// [`ShardedMonitorPool::reset_session`] alike: the tick in flight (if
+    /// the slot is in it) runs first so the session's last queued frame
+    /// still emits its decision, then the engine resets.
+    Reset {
         slot: usize,
     },
     /// Chaos hook: the worker sleeps before processing anything queued
@@ -212,8 +242,8 @@ enum Event {
 /// read-only [`TrainedPipeline`], with cross-session micro-batching inside
 /// each shard.
 ///
-/// Per-session decisions are bit-exactly equal to the sequential
-/// [`MonitorPool`](crate::monitor::MonitorPool); frames of one session are
+/// Per-session decisions are bit-exactly equal to one [`InferenceEngine`]
+/// per session stepped frame by frame; frames of one session are
 /// processed in submission order, and decisions for one session arrive in
 /// frame order (cross-session arrival order is unspecified — use
 /// [`Decision::session`] / [`Decision::frame`] to demultiplex).
@@ -388,7 +418,7 @@ impl ShardedMonitorPool {
         self.occupancy[shard] -= 1; // lint: allow(panic, reason = "shard stored by add_session, within the workers range")
         self.live -= 1;
         self.free[shard].push(slot); // lint: allow(panic, reason = "shard stored by add_session, within the workers range")
-        self.send(shard, Job::Unbind { slot });
+        self.send(shard, Job::Reset { slot });
     }
 
     /// Number of live (added and not removed) sessions.
@@ -510,7 +540,7 @@ impl ShardedMonitorPool {
     /// Restores `session` to a cold, freshly added state: the engine's
     /// windows and smoothing filter are cleared and its frame counter
     /// rewinds to 0, so the next submitted frame is frame 0 again — the
-    /// sharded counterpart of `MonitorPool::reset_session`, letting a fleet
+    /// pool's counterpart of [`InferenceEngine::reset`], letting a fleet
     /// driver reuse pool sessions across trials instead of growing the pool
     /// forever.
     ///
@@ -527,7 +557,7 @@ impl ShardedMonitorPool {
         let (shard, slot) = self.assignment(session);
         // lint: allow(panic, reason = "submitted grows in lockstep with assignments; assignment() above vouched for session")
         self.submitted[session] = 0;
-        self.send(shard, Job::ResetSession { slot });
+        self.send(shard, Job::Reset { slot });
     }
 
     /// Chaos hook: makes shard `shard` sleep for `dur` at the point the
@@ -683,7 +713,7 @@ impl ShardedMonitorPool {
 
     // lint: hot-path
     fn send(&self, shard: usize, job: Job) {
-        self.ingress[shard] // lint: allow(panic, reason = "shard is session % ingress.len() at every call site")
+        self.ingress[shard] // lint: allow(panic, reason = "callers pass a placement add_session stored, an index inject_stall asserted, or a 0..ingress.len() loop index")
             .send(job)
             // lint: allow(panic, reason = "a worker exits only on pool drop; losing one while the pool is alive must fail loud")
             .unwrap_or_else(|_| panic!("shard worker {shard} exited while the pool was alive"));
@@ -703,7 +733,7 @@ impl Drop for ShardedMonitorPool {
 /// The per-shard state a [`run_tick`] call consumes: the tick under
 /// construction plus per-session bookkeeping. All buffers are reused across
 /// ticks — the steady-state worker loop performs no per-tick allocation.
-/// Slots are recycled across sessions ([`Job::Bind`] / [`Job::Unbind`]);
+/// Slots are recycled across sessions ([`Job::Bind`] / [`Job::Reset`]);
 /// `session_ids[slot]` is the current tenant every emitted decision is
 /// tagged with.
 struct ShardState {
@@ -766,7 +796,7 @@ fn worker_loop(
                         state.in_tick.push(false);
                     } else {
                         // Recycled slot: frames of the previous tenant were
-                        // all enqueued before the Unbind that freed it, so
+                        // all enqueued before the Reset that freed it, so
                         // the engine is already reset and out of the tick —
                         // but reset defensively anyway; a stale window
                         // leaking into a new session would corrupt silently.
@@ -779,24 +809,14 @@ fn worker_loop(
                         state.session_ids[slot] = session; // lint: allow(panic, reason = "the pool binds only freed slots or the one fresh slot at engines.len()")
                     }
                 }
-                Job::Unbind { slot } => {
-                    // lint: allow(panic, reason = "the pool only unbinds slots it bound earlier")
-                    if state.in_tick[slot] {
-                        // The session's last queued frame must still emit
-                        // its decision before the slot is recycled.
-                        run_tick(pipeline, threshold, &mut state, egress, recycle);
-                    }
-                    state.engines[slot].reset(); // lint: allow(panic, reason = "the pool only unbinds slots it bound earlier")
-                    state.frames_done[slot] = 0;
-                }
-                Job::ResetSession { slot } => {
-                    // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
+                Job::Reset { slot } => {
+                    // lint: allow(panic, reason = "the pool only resets slots it bound via Bind")
                     if state.in_tick[slot] {
                         // The session's current frame must be scored (and
                         // its decision emitted) before the state rewinds.
                         run_tick(pipeline, threshold, &mut state, egress, recycle);
                     }
-                    state.engines[slot].reset(); // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
+                    state.engines[slot].reset(); // lint: allow(panic, reason = "the pool only resets slots it bound via Bind")
                     state.frames_done[slot] = 0;
                 }
                 Job::Stall { dur } => std::thread::sleep(dur),
@@ -840,13 +860,18 @@ fn run_tick(
     let start = Instant::now();
     step_batch(pipeline, &mut state.engines, &state.tick, &mut state.scratch, &mut state.steps);
     let per_frame_ms = start.elapsed().as_secs_f32() * 1000.0 / state.tick.len() as f32;
-    for ((job, step), &submitted) in
-        state.tick.iter().zip(state.steps.iter()).zip(state.tick_submitted.iter())
+    for ((job, step), submitted) in
+        state.tick.drain(..).zip(state.steps.iter()).zip(state.tick_submitted.drain(..))
     {
+        // Hand the frame buffer back before publishing its decision: a
+        // caller that submits its next frame on seeing the decision must
+        // find a buffer to reuse, or `submit` allocates. The pool may
+        // already be gone at shutdown.
+        let _ = recycle.send(job.frame);
         let slot = job.engine;
-        let frame_idx = state.frames_done[slot]; // lint: allow(panic, reason = "tick jobs carry slots the pool created via AddSession; per-slot vecs grow in lockstep")
+        let frame_idx = state.frames_done[slot]; // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind; per-slot vecs grow in lockstep")
         state.frames_done[slot] += 1;
-        state.in_tick[slot] = false; // lint: allow(panic, reason = "tick jobs carry slots the pool created via AddSession; per-slot vecs grow in lockstep")
+        state.in_tick[slot] = false; // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind; per-slot vecs grow in lockstep")
         let _ = egress.send(Event::Decision {
             decision: Decision {
                 session: state.session_ids[slot], // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind; per-slot vecs grow in lockstep")
@@ -856,12 +881,6 @@ fn run_tick(
             submitted,
         });
     }
-    // Hand the consumed frame buffers back to the pool for the next
-    // `submit` to reuse (the pool may already be gone at shutdown).
-    for job in state.tick.drain(..) {
-        let _ = recycle.send(job.frame);
-    }
-    state.tick_submitted.clear();
 }
 
 /// Splits `0..len` into at most `parts` contiguous chunks whose sizes

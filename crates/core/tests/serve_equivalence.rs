@@ -1,13 +1,14 @@
 //! The serving determinism guarantee: a `ShardedMonitorPool` (multiple
 //! worker threads, cross-session micro-batching, channel transport) must
-//! produce **bit-exactly** the decisions of the sequential `MonitorPool`,
-//! per session, across every `ContextMode` and multiple training seeds.
+//! produce **bit-exactly** the decisions of one `InferenceEngine` per
+//! session stepped frame by frame, across every `ContextMode` and multiple
+//! training seeds.
 //! This is the acceptance criterion CI enforces under `--release`.
 
 use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
 use context_monitor::{
     step_batch, BatchJob, BatchScratch, ContextMode, EngineError, InferenceEngine, MonitorConfig,
-    MonitorPool, Precision, SafetyMonitor, TrainedPipeline,
+    Precision, TrainedPipeline,
 };
 use gestures::Task;
 use jigsaws::{generate, GeneratorConfig};
@@ -27,28 +28,33 @@ fn tiny_pipeline(seed: u64) -> (TrainedPipeline, Dataset) {
 /// decision (`compute_ms` is wall-clock and legitimately differs).
 type Key = (usize, u32, bool);
 
+/// One `InferenceEngine` per session, stepped frame by frame in the same
+/// round-robin order the sharded pool receives (alert threshold 0.5).
 fn sequential_reference(
-    pipeline: TrainedPipeline,
+    pipeline: &TrainedPipeline,
     ds: &Dataset,
     mode: ContextMode,
     sessions: usize,
-) -> (TrainedPipeline, Vec<Vec<Key>>) {
-    let mut pool = MonitorPool::with_sessions(pipeline, mode, sessions);
+) -> Vec<Vec<Key>> {
+    let mut engines: Vec<InferenceEngine> =
+        (0..sessions).map(|_| InferenceEngine::new(pipeline, mode)).collect();
     let mut outs: Vec<Vec<Key>> = vec![Vec::new(); sessions];
     let longest = ds.demos.iter().take(sessions).map(|d| d.len()).max().unwrap();
     for t in 0..longest {
         for (s, demo) in ds.demos.iter().take(sessions).enumerate() {
             let Some(frame) = demo.frames.get(t) else { continue };
-            let out = match mode {
-                ContextMode::Perfect => pool.push_with_context(s, frame, demo.gestures[t]),
-                _ => pool.push(s, frame).expect("non-Perfect push cannot fail"),
+            let step = match mode {
+                ContextMode::Perfect => {
+                    engines[s].step_with_context(pipeline, frame, demo.gestures[t])
+                }
+                _ => engines[s].step(pipeline, frame).expect("non-Perfect step cannot fail"),
             };
-            if let Some(o) = out {
-                outs[s].push((o.gesture.index(), o.unsafe_probability.to_bits(), o.alert));
+            if let Some((gesture, score)) = step.complete() {
+                outs[s].push((gesture.index(), score.to_bits(), score > 0.5));
             }
         }
     }
-    (pool.into_pipeline(), outs)
+    outs
 }
 
 fn sharded_run(
@@ -98,8 +104,8 @@ fn sharded_pool_is_bit_exactly_equal_to_sequential_pool() {
         assert!(!pipeline.error_nets.is_empty(), "seed {seed}: no dedicated classifiers");
         let sessions = 6.min(ds.demos.len());
         for mode in [ContextMode::Predicted, ContextMode::Perfect, ContextMode::NoContext] {
-            let (returned, reference) = sequential_reference(pipeline, &ds, mode, sessions);
-            let shared = Arc::new(returned);
+            let reference = sequential_reference(&pipeline, &ds, mode, sessions);
+            let shared = Arc::new(pipeline);
             for workers in [1usize, 3] {
                 let sharded =
                     sharded_run(Arc::clone(&shared), &ds, mode, sessions, workers, Precision::F32);
@@ -209,17 +215,17 @@ fn missing_context_is_a_typed_error_not_a_panic() {
     let (pipeline, ds) = tiny_pipeline(31);
     let frame = &ds.demos[0].frames[0];
 
-    let mut monitor = SafetyMonitor::new(pipeline, ContextMode::Perfect);
-    assert_eq!(monitor.push(frame), Err(EngineError::MissingContext));
-    // The failed push consumed nothing: the engine state is untouched.
-    assert_eq!(monitor.frames_seen(), 0);
+    let mut engine = InferenceEngine::new(&pipeline, ContextMode::Perfect);
+    assert_eq!(engine.step(&pipeline, frame), Err(EngineError::MissingContext));
+    // The failed step consumed nothing: the engine state is untouched.
+    assert_eq!(engine.frames_seen(), 0);
     // The correctly supplied path still works afterwards.
-    let _ = monitor.push_with_context(frame, ds.demos[0].gestures[0]);
-    assert_eq!(monitor.frames_seen(), 1);
+    let _ = engine.step_with_context(&pipeline, frame, ds.demos[0].gestures[0]);
+    assert_eq!(engine.frames_seen(), 1);
 
     // Same contract on the sharded pool: submit is rejected up front and
     // the pool (with its worker threads) stays fully operational.
-    let pipeline = Arc::new(monitor.into_pipeline());
+    let pipeline = Arc::new(pipeline);
     let mut pool = ShardedMonitorPool::with_sessions(
         pipeline,
         ContextMode::Perfect,
@@ -337,6 +343,29 @@ fn sharded_reset_session_replays_bit_equal() {
     }
     let second = run(&mut pool);
     assert_eq!(first, second, "a reset session must replay bit-equal to a fresh one");
+
+    // Resetting only session 0 mid-stream, with frames in flight, leaves
+    // sessions 1 and 2 bit-identical to the run without the reset.
+    for s in 0..3 {
+        pool.reset_session(s);
+    }
+    let mut third: Vec<Vec<(usize, Key)>> = vec![Vec::new(); 3];
+    for t in 0..frames {
+        if t == frames / 2 {
+            pool.reset_session(0);
+        }
+        for s in 0..3 {
+            pool.submit(s, &ds.demos[s].frames[t]).expect("Predicted mode");
+        }
+    }
+    for d in pool.flush() {
+        if let Some(o) = d.output {
+            third[d.session]
+                .push((d.frame, (o.gesture.index(), o.unsafe_probability.to_bits(), o.alert)));
+        }
+    }
+    assert!(third[0].len() < first[0].len(), "session 0 must warm up again after its reset");
+    assert_eq!(third[1..], first[1..], "resetting session 0 must not touch sessions 1 and 2");
 }
 
 /// A deliberately stalled shard delays its decisions past a deadline-gated

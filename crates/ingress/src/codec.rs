@@ -336,6 +336,7 @@ impl<'a> Cursor<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
+    // lint: hot-path
     fn finish(self) -> Result<(), ProtoError> {
         if self.rest.is_empty() {
             Ok(())

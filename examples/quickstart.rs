@@ -5,10 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use context_monitor::{ContextMode, MonitorConfig, SafetyMonitor, TrainedPipeline};
+use context_monitor::{ContextMode, InferenceEngine, MonitorConfig, TrainedPipeline};
 use gestures::Task;
 use jigsaws::{generate, GeneratorConfig};
 use kinematics::FeatureSet;
+use std::time::Instant;
 
 fn main() {
     // 1. Data: JIGSAWS-like Suturing demonstrations (synthetic; see
@@ -33,31 +34,35 @@ fn main() {
         pipeline.dedicated_gestures().len()
     );
 
-    // 3. Stream a test demonstration through the online monitor.
+    // 3. Stream a test demonstration through one session's engine; the
+    //    alert threshold is 0.5.
     let demo = &dataset.demos[fold.test[0]];
-    let mut monitor = SafetyMonitor::new(pipeline, ContextMode::Predicted);
+    let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
     let mut alerts = 0usize;
     let mut last_gesture = None;
     for (t, frame) in demo.frames.iter().enumerate() {
-        if let Some(out) = monitor.push(frame).expect("Predicted mode cannot fail") {
-            if last_gesture != Some(out.gesture) {
+        let start = Instant::now();
+        let step = engine.step(&pipeline, frame).expect("Predicted mode cannot fail");
+        let compute_ms = start.elapsed().as_secs_f32() * 1000.0;
+        if let Some((gesture, p)) = step.complete() {
+            if last_gesture != Some(gesture) {
                 println!(
                     "t={:>5.2}s  context -> {} ({})",
                     t as f32 / demo.hz,
-                    out.gesture,
-                    out.gesture.description()
+                    gesture,
+                    gesture.description()
                 );
-                last_gesture = Some(out.gesture);
+                last_gesture = Some(gesture);
             }
-            if out.alert {
+            if p > 0.5 {
                 alerts += 1;
                 if alerts <= 5 {
                     println!(
                         "t={:>5.2}s  ALERT: unsafe {} (p = {:.2}, inference {:.2} ms)",
                         t as f32 / demo.hz,
-                        out.gesture,
-                        out.unsafe_probability,
-                        out.compute_ms
+                        gesture,
+                        p,
+                        compute_ms
                     );
                 }
             }

@@ -1,6 +1,6 @@
 //! Proves the acceptance criterion "no per-window heap allocation in the
 //! steady-state hot path" by counting real allocator calls around
-//! `SafetyMonitor::push` after warm-up — around the closed-loop
+//! `InferenceEngine::step` after warm-up — around the closed-loop
 //! reactor's per-tick `apply` + `observe` path, measured with its
 //! mitigation engaged (the worst case: alert bookkeeping plus command
 //! gating on every tick) — and around the **pooled** reactor tick
@@ -13,7 +13,7 @@
 //! process-global, and a concurrently running test would pollute the count.
 
 use context_monitor::serve::{Decision, ServeConfig, ShardedMonitorPool};
-use context_monitor::{ContextMode, MonitorConfig, Precision, SafetyMonitor, TrainedPipeline};
+use context_monitor::{ContextMode, InferenceEngine, MonitorConfig, Precision, TrainedPipeline};
 use gestures::Task;
 use ingress::client::{Connection, ServerMsg};
 use ingress::server::{IngressServer, ServerConfig};
@@ -140,7 +140,7 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
 
     // Inference scratch lives in the engine (not the shared networks) since
     // the sharded-serving refactor, and the error classifiers share one
-    // architecture, so the monitor warm-up below sizes every buffer the
+    // architecture, so the engine warm-up below sizes every buffer the
     // measured phase can touch — even when routing switches classifiers
     // mid-stream, the scratch shapes are identical and nothing reallocates.
     let demo = &ds.demos[0];
@@ -148,11 +148,11 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
     let measured = 64usize;
     assert!(demo.len() > warm + 2 * measured, "demo too short for a steady-state measurement");
 
-    let mut monitor = SafetyMonitor::new(pipeline, ContextMode::Predicted);
+    let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
     // Warm-up: fill the windows, the smoothing filter, and every scratch
     // buffer along the per-frame path.
     for frame in demo.frames.iter().take(warm + measured) {
-        let _ = monitor.push(frame);
+        let _ = engine.step(&pipeline, frame);
     }
 
     ALLOCATIONS.store(0, Ordering::SeqCst);
@@ -160,9 +160,9 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
     let mut emitted = 0usize;
     let mut score_acc = 0.0f32;
     for frame in demo.frames.iter().skip(warm + measured).take(measured) {
-        if let Ok(Some(out)) = monitor.push(frame) {
+        if let Ok(Some((_, score))) = engine.step(&pipeline, frame).map(|s| s.complete()) {
             emitted += 1;
-            score_acc += out.unsafe_probability;
+            score_acc += score;
         }
     }
     COUNTING.store(false, Ordering::SeqCst);
@@ -179,7 +179,7 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
     // alerts on every warm frame, so by the end of warm-up the mitigation
     // has engaged and the measured phase covers the full worst case:
     // engine step + alert bookkeeping + gated command stream.
-    let pipeline = Arc::new(monitor.into_pipeline());
+    let pipeline = Arc::new(pipeline);
     let mut reactor = SafetyReactor::new(
         Arc::clone(&pipeline),
         ReactorConfig {

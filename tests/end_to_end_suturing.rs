@@ -7,7 +7,7 @@
 //! monitor agrees with the offline evaluation.
 
 use context_monitor::{
-    evaluate_pipeline, ContextMode, MonitorConfig, SafetyMonitor, TrainedPipeline,
+    evaluate_pipeline, ContextMode, InferenceEngine, MonitorConfig, TrainedPipeline,
 };
 use gestures::Task;
 use jigsaws::{generate, GeneratorConfig};
@@ -79,11 +79,12 @@ fn streaming_and_offline_agree_end_to_end() {
     let offline = pipeline.run_demo(demo, ContextMode::Predicted);
 
     let warm = cfg.window.width.max(cfg.gesture_window);
-    let mut monitor = SafetyMonitor::new(pipeline, ContextMode::Predicted);
+    let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
     let mut online = Vec::new();
     for frame in &demo.frames {
-        if let Some(out) = monitor.push(frame).expect("Predicted mode cannot fail") {
-            online.push((out.gesture.index(), out.alert));
+        let step = engine.step(&pipeline, frame).expect("Predicted mode cannot fail");
+        if let Some((gesture, score)) = step.complete() {
+            online.push((gesture.index(), score > 0.5));
         }
     }
     assert_eq!(online.len(), demo.len() - warm + 1);

@@ -2,7 +2,7 @@
 //! online/offline window equivalence, streaming/replay engine agreement,
 //! metric invariants on generated data.
 
-use context_monitor::{ContextMode, MonitorConfig, MonitorPool, SafetyMonitor, TrainedPipeline};
+use context_monitor::{ContextMode, InferenceEngine, MonitorConfig, TrainedPipeline};
 use eval::{auc, js_discrete, segments};
 use gestures::{Gesture, MarkovChain, Task, ALL_TASKS};
 use jigsaws::{generate, GeneratorConfig};
@@ -154,7 +154,7 @@ fn tiny_pipeline(seed: u64) -> (TrainedPipeline, kinematics::Dataset) {
 #[test]
 fn offline_and_online_agree_bit_exactly_across_modes_and_seeds() {
     for seed in [11u64, 29, 47] {
-        let (mut pipeline, ds) = tiny_pipeline(seed);
+        let (pipeline, ds) = tiny_pipeline(seed);
         assert!(
             !pipeline.error_nets.is_empty(),
             "seed {seed}: expected at least one dedicated error classifier"
@@ -163,17 +163,17 @@ fn offline_and_online_agree_bit_exactly_across_modes_and_seeds() {
         for mode in [ContextMode::Predicted, ContextMode::Perfect, ContextMode::NoContext] {
             let offline = pipeline.run_demo(demo, mode);
 
-            let mut monitor = SafetyMonitor::new(pipeline, mode);
+            let mut engine = InferenceEngine::new(&pipeline, mode);
             let mut gestures_online = Vec::new();
             let mut scores_online = Vec::new();
             for (frame, &truth) in demo.frames.iter().zip(demo.gestures.iter()) {
-                let out = match mode {
-                    ContextMode::Perfect => monitor.push_with_context(frame, truth),
-                    _ => monitor.push(frame).expect("only Perfect mode fails"),
+                let step = match mode {
+                    ContextMode::Perfect => engine.step_with_context(&pipeline, frame, truth),
+                    _ => engine.step(&pipeline, frame).expect("only Perfect mode fails"),
                 };
-                if let Some(out) = out {
-                    gestures_online.push(out.gesture.index());
-                    scores_online.push(out.unsafe_probability);
+                if let Some((gesture, score)) = step.complete() {
+                    gestures_online.push(gesture.index());
+                    scores_online.push(score);
                 }
             }
             assert!(!scores_online.is_empty(), "seed {seed} {mode}: nothing emitted");
@@ -189,34 +189,30 @@ fn offline_and_online_agree_bit_exactly_across_modes_and_seeds() {
                 &scores_online[..],
                 "seed {seed} {mode}: score disagreement"
             );
-            pipeline = monitor.into_pipeline();
         }
     }
 }
 
-/// Sessions multiplexed through one `MonitorPool` — fed in a deliberately
-/// bursty, uneven interleaving — produce exactly what each demo produces
-/// through its own dedicated monitor.
+/// Engines sharing one pipeline — fed in a deliberately bursty, uneven
+/// interleaving — produce exactly what each demo produces through its own
+/// engine stepped in isolation.
 #[test]
 fn pool_interleaved_sessions_match_isolated_runs() {
     let (pipeline, ds) = tiny_pipeline(23);
     let demos: Vec<_> = ds.demos.iter().take(3).collect();
+    let decide = |engine: &mut InferenceEngine, frame| {
+        let step = engine.step(&pipeline, frame).expect("Predicted mode cannot fail");
+        step.complete().map(|(g, p)| (g.index(), p, p > 0.5))
+    };
 
-    let mut pipeline = pipeline;
     let mut isolated: Vec<Vec<(usize, f32, bool)>> = Vec::new();
     for demo in &demos {
-        let mut monitor = SafetyMonitor::new(pipeline, ContextMode::Predicted);
-        isolated.push(
-            demo.frames
-                .iter()
-                .filter_map(|f| monitor.push(f).expect("Predicted mode cannot fail"))
-                .map(|o| (o.gesture.index(), o.unsafe_probability, o.alert))
-                .collect(),
-        );
-        pipeline = monitor.into_pipeline();
+        let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
+        isolated.push(demo.frames.iter().filter_map(|f| decide(&mut engine, f)).collect());
     }
 
-    let mut pool = MonitorPool::with_sessions(pipeline, ContextMode::Predicted, demos.len());
+    let mut pool: Vec<InferenceEngine> =
+        demos.iter().map(|_| InferenceEngine::new(&pipeline, ContextMode::Predicted)).collect();
     let mut pooled: Vec<Vec<(usize, f32, bool)>> = vec![Vec::new(); demos.len()];
     let mut cursors = vec![0usize; demos.len()];
     // Bursty schedule: session s advances in bursts of s + 1 frames.
@@ -225,9 +221,8 @@ fn pool_interleaved_sessions_match_isolated_runs() {
     while remaining > 0 {
         for _ in 0..=s {
             if cursors[s] < demos[s].len() {
-                let out = pool.push(s, &demos[s].frames[cursors[s]]).expect("Predicted mode");
-                if let Some(out) = out {
-                    pooled[s].push((out.gesture.index(), out.unsafe_probability, out.alert));
+                if let Some(out) = decide(&mut pool[s], &demos[s].frames[cursors[s]]) {
+                    pooled[s].push(out);
                 }
                 cursors[s] += 1;
                 remaining -= 1;
