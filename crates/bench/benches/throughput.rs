@@ -10,9 +10,10 @@
 //! configuration's per-core decision rate by the paper's 30 Hz kinematic
 //! frame rate: how many live procedures one core can monitor in real time.
 //!
-//! Besides the printed table, a machine-readable summary is written to
-//! `BENCH_throughput.json` at the repo root (hand-formatted — the bench
+//! Besides the printed table, a full run writes a machine-readable summary
+//! to `BENCH_throughput.json` at the repo root (hand-formatted — the bench
 //! crate deliberately has no serde dependency), next to `BENCH_gemm.json`.
+//! A `--smoke` pass leaves the committed summary alone.
 //!
 //! ```sh
 //! cargo bench -p bench --bench throughput            # full measurement
@@ -191,15 +192,17 @@ fn main() {
         }
     }
 
-    write_summary(&rows, smoke, cores, workload.frames_per_session);
+    if !smoke {
+        write_summary(&rows, cores, workload.frames_per_session);
+    }
 }
 
 /// Hand-formatted JSON summary (no serde in the bench crate) written to the
 /// repo root next to `BENCH_gemm.json`, newest run wins.
-fn write_summary(rows: &[Row], smoke: bool, cores: usize, frames_per_session: usize) {
+fn write_summary(rows: &[Row], cores: usize, frames_per_session: usize) {
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"bench\": \"throughput\",\n  \"smoke\": {smoke},\n  \"cores\": {cores},\n  \
+        "  \"bench\": \"throughput\",\n  \"cores\": {cores},\n  \
          \"frames_per_session\": {frames_per_session},\n  \"frame_hz\": {FRAME_HZ},\n  \
          \"gemm_backend\": \"{}\",\n  \"rows\": [\n",
         nn::kernels::gemm_backend_label()

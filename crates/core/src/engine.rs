@@ -13,11 +13,12 @@
 //!
 //! Per frame, the steady-state hot path performs **no heap allocation**:
 //! feature extraction, normalization, windowing, both network forward passes
-//! (via [`nn::Network::predict_into`]), the softmax, and the majority filter
-//! all reuse preallocated buffers. The paper reports 1.5–3.2 ms per-sample
-//! compute (Table VIII); keeping the per-frame path allocation-free is what
-//! lets one process multiplex many concurrent surgical sessions at that
-//! budget.
+//! (via [`nn::Network::predict_scratch`], or
+//! [`nn::Network::predict_batch_into`] in a pool tick), the softmax, and the
+//! majority filter all reuse preallocated buffers. The paper reports
+//! 1.5–3.2 ms per-sample compute (Table VIII); keeping the per-frame path
+//! allocation-free is what lets one process multiplex many concurrent
+//! surgical sessions at that budget.
 
 use crate::config::Precision;
 use crate::pipeline::{ContextMode, ErrorRoute, QuantizedPipeline, TrainedPipeline};

@@ -4,9 +4,10 @@
 //! [`ShardedMonitorPool`] is the one multi-session form of the monitor (a
 //! single session steps its own [`InferenceEngine`]): sessions are placed
 //! on the least-occupied of `workers` shard threads (round-robin while
-//! nobody leaves), frames travel to their shard over a crossbeam channel
-//! (ingress), and decisions come back tagged with their session on a shared
-//! egress channel. The fleet is **elastic**: sessions can be
+//! nobody leaves), frames travel to their shard over that shard's ingress
+//! channel, and every processed frame comes home as one message on a shared
+//! egress channel: its decision plus the frame buffer, for reuse by the next
+//! submit. The fleet is **elastic**: sessions can be
 //! [removed](ShardedMonitorPool::remove_session) at any time — their engine
 //! slot is recycled by the next [`add_session`](ShardedMonitorPool::add_session)
 //! while decisions already in flight drain normally — so clients of a
@@ -36,7 +37,7 @@ use crate::config::Precision;
 use crate::engine::{step_batch, BatchJob, BatchScratch, EngineError, EngineStep, InferenceEngine};
 use crate::pipeline::{ContextMode, TrainedPipeline};
 use crate::report::{LatencyStats, PoolStats};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gestures::Gesture;
 use kinematics::KinematicSample;
 use serde::{Deserialize, Serialize};
@@ -110,36 +111,41 @@ pub struct Decision {
 }
 
 enum Job {
+    /// Frame `index` of `session` since its last reset. The pool stamps
+    /// both at submit, so only the pool knows frame identity; the worker
+    /// just carries them home with the decision.
     Frame {
         slot: usize,
+        session: SessionId,
+        index: usize,
         frame: KinematicSample,
         context: Option<Gesture>,
         submitted: Instant,
     },
-    /// Binds `session` to engine slot `slot` of this shard: a fresh slot
-    /// (`slot == engines.len()`) grows the shard, a recycled slot is reset
-    /// first. Queued in job order, so frames of the slot's previous tenant
-    /// (all enqueued before the [`Job::Reset`] that freed it) are scored
-    /// and emitted under the old session id before the new tenant starts.
-    Bind {
-        slot: usize,
-        session: SessionId,
-    },
+    /// Binds engine slot `slot` of this shard to a new session: a fresh
+    /// slot (`slot == engines.len()`) grows the shard, a recycled slot is
+    /// reset like [`Job::Reset`]. Queued in job order, so frames of the
+    /// slot's previous tenant (all enqueued before the [`Job::Reset`] that
+    /// freed it) are scored before the new tenant starts.
+    Bind { slot: usize },
     /// Rewinds a slot to a cold engine, on session removal and on
     /// [`ShardedMonitorPool::reset_session`] alike: the tick in flight (if
     /// the slot is in it) runs first so the session's last queued frame
     /// still emits its decision, then the engine resets.
-    Reset {
-        slot: usize,
-    },
+    Reset { slot: usize },
     /// Chaos hook: the worker sleeps before processing anything queued
     /// behind this job — see [`ShardedMonitorPool::inject_stall`].
-    Stall {
-        dur: Duration,
-    },
-    Barrier {
-        token: u64,
-    },
+    Stall { dur: Duration },
+}
+
+/// The one message a shard worker sends home per processed frame: the
+/// decision, the frame's submit time (queueing telemetry) and the frame
+/// buffer for the next `submit` to reuse. One message, so a frame's buffer
+/// is back before its decision is seen.
+struct Done {
+    decision: Decision,
+    submitted: Instant,
+    frame: KinematicSample,
 }
 
 /// Log-scale bucket count of the latency histogram: 6 decades
@@ -150,9 +156,9 @@ const LATENCY_DECADES: f32 = 6.0;
 
 /// Per-decision latency accumulator over `compute_ms`. One fixed-size
 /// buffer allocated at pool construction and reused forever, so recording
-/// inside [`ShardedMonitorPool::poll`] / [`ShardedMonitorPool::flush`]
-/// stays allocation-free; quantiles are answered from the histogram
-/// (≤ ~6% relative error), the maximum is tracked exactly.
+/// inside the pool's drains stays allocation-free; quantiles are answered
+/// from the histogram (≤ ~6% relative error), the maximum is tracked
+/// exactly.
 #[derive(Debug, Clone)]
 struct LatencyTelemetry {
     buckets: Vec<u64>,
@@ -233,11 +239,6 @@ impl LatencyTelemetry {
     }
 }
 
-enum Event {
-    Decision { decision: Decision, submitted: Instant },
-    BarrierAck { token: u64 },
-}
-
 /// N concurrent sessions sharded across worker threads over one shared
 /// read-only [`TrainedPipeline`], with cross-session micro-batching inside
 /// each shard.
@@ -269,12 +270,12 @@ enum Event {
 pub struct ShardedMonitorPool {
     mode: ContextMode,
     ingress: Vec<Sender<Job>>,
-    egress: Receiver<Event>,
-    /// Frame buffers handed back by the workers after consumption, reused
-    /// by the next `submit` so the steady-state ingress path allocates
-    /// nothing (a fresh clone happens only while the in-flight high-water
-    /// mark is still growing).
-    recycle: Receiver<KinematicSample>,
+    egress: Receiver<Done>,
+    /// Frame buffers that came home with their decisions, reused by the
+    /// next `submit` so the steady-state ingress path allocates nothing (a
+    /// fresh clone happens only while the in-flight high-water mark is
+    /// still growing).
+    spare_frames: Vec<KinematicSample>,
     handles: Vec<JoinHandle<()>>,
     /// Placement of every session id ever opened: `Some((shard, slot))`
     /// while live, `None` once removed. Session ids are never reused
@@ -294,7 +295,6 @@ pub struct ShardedMonitorPool {
     submitted: Vec<usize>,
     /// Frames submitted whose decision has not been drained yet.
     in_flight: usize,
-    barrier_token: u64,
     compute_telemetry: LatencyTelemetry,
     queue_telemetry: LatencyTelemetry,
 }
@@ -318,18 +318,16 @@ impl ShardedMonitorPool {
         );
         let workers = config.workers.max(1);
         let (egress_tx, egress_rx) = unbounded();
-        let (recycle_tx, recycle_rx) = unbounded();
         let mut ingress = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (tx, rx) = unbounded();
             let pipeline = Arc::clone(&pipeline);
             let egress = egress_tx.clone();
-            let recycle = recycle_tx.clone();
             let threshold = config.threshold;
             let precision = config.precision;
             handles.push(std::thread::spawn(move || {
-                worker_loop(&pipeline, mode, threshold, precision, &rx, &egress, &recycle);
+                worker_loop(&pipeline, mode, threshold, precision, &rx, &egress);
             }));
             ingress.push(tx);
         }
@@ -337,7 +335,7 @@ impl ShardedMonitorPool {
             mode,
             ingress,
             egress: egress_rx,
-            recycle: recycle_rx,
+            spare_frames: Vec::new(),
             handles,
             assignments: Vec::new(),
             occupancy: vec![0; workers],
@@ -346,7 +344,6 @@ impl ShardedMonitorPool {
             live: 0,
             submitted: Vec::new(),
             in_flight: 0,
-            barrier_token: 0,
             compute_telemetry: LatencyTelemetry::new(),
             queue_telemetry: LatencyTelemetry::new(),
         }
@@ -386,7 +383,7 @@ impl ShardedMonitorPool {
             self.shard_slots[shard] += 1; // lint: allow(panic, reason = "shard comes from the occupancy index range; all per-shard vecs are workers long")
             fresh
         });
-        self.send(shard, Job::Bind { slot, session: id });
+        self.send(shard, Job::Bind { slot });
         self.assignments.push(Some((shard, slot)));
         self.submitted.push(0);
         self.occupancy[shard] += 1; // lint: allow(panic, reason = "shard comes from the occupancy index range; all per-shard vecs are workers long")
@@ -399,7 +396,7 @@ impl ShardedMonitorPool {
     /// the least-occupied shard's pool) and the freed capacity stops
     /// counting toward shard occupancy. Decisions for frames submitted
     /// before the removal are **not** lost — they drain through
-    /// [`ShardedMonitorPool::poll`] / [`ShardedMonitorPool::flush`] as
+    /// [`ShardedMonitorPool::poll_into`] / [`ShardedMonitorPool::flush`] as
     /// usual, tagged with the removed session's id (ids are never reused,
     /// so late decisions stay unambiguous). Submitting to (or resetting) a
     /// removed session panics.
@@ -471,7 +468,7 @@ impl ShardedMonitorPool {
     }
 
     /// Enqueues one frame of `session` for its shard. Returns immediately;
-    /// the decision arrives via [`ShardedMonitorPool::poll`] /
+    /// the decision arrives via [`ShardedMonitorPool::poll_into`] /
     /// [`ShardedMonitorPool::flush`].
     ///
     /// # Errors
@@ -520,21 +517,25 @@ impl ShardedMonitorPool {
     ) {
         let (shard, slot) = self.assignment(session);
         // lint: allow(panic, reason = "submitted grows in lockstep with assignments; assignment() above vouched for session")
-        self.submitted[session] += 1;
+        let counter = &mut self.submitted[session];
+        let index = *counter;
+        *counter += 1;
         self.in_flight += 1;
-        // Reuse a frame buffer the workers handed back; `Vec::clone_from`
-        // copies in place when the manipulator count matches, so the
-        // steady-state submit path performs no heap allocation.
-        let frame = match self.recycle.try_recv() {
-            Ok(mut buf) => {
+        // Reuse a frame buffer that came home with a decision;
+        // `Vec::clone_from` copies in place when the manipulator count
+        // matches, so the steady-state submit path performs no heap
+        // allocation.
+        let frame = match self.spare_frames.pop() {
+            Some(mut buf) => {
                 buf.manipulators.clone_from(&frame.manipulators);
                 buf
             }
             // lint: allow(alloc, reason = "cold branch: allocates only while the in-flight high-water mark is still growing")
-            Err(_) => frame.clone(),
+            None => frame.clone(),
         };
         // lint: allow(determinism, reason = "latency telemetry timestamp; never feeds the decision value, which replays bit-identically")
-        self.send(shard, Job::Frame { slot, frame, context, submitted: Instant::now() });
+        let submitted = Instant::now();
+        self.send(shard, Job::Frame { slot, session, index, frame, context, submitted });
     }
 
     /// Restores `session` to a cold, freshly added state: the engine's
@@ -577,29 +578,13 @@ impl ShardedMonitorPool {
         self.send(shard, Job::Stall { dur });
     }
 
-    /// Non-blocking drain of the decisions that are ready right now.
-    pub fn poll(&mut self) -> Vec<Decision> {
-        let mut out = Vec::new();
-        self.poll_into(&mut out);
-        out
-    }
-
-    /// Non-blocking drain appending into a caller-owned buffer (no
-    /// allocation once the buffer is warm).
+    /// Non-blocking drain of the decisions that are ready right now,
+    /// appended into a caller-owned buffer (no allocation once the buffer
+    /// is warm).
     // lint: hot-path
     pub fn poll_into(&mut self, out: &mut Vec<Decision>) {
-        loop {
-            match self.egress.try_recv() {
-                Ok(Event::Decision { decision, submitted }) => {
-                    self.record(&decision, submitted);
-                    out.push(decision);
-                }
-                Ok(Event::BarrierAck { .. }) => {
-                    // lint: allow(panic, reason = "acks exist only while flush_into is blocking; one leaking here is a protocol bug, fail loud")
-                    unreachable!("barrier acks are consumed by flush")
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
+        while let Ok(done) = self.egress.try_recv() {
+            self.receive(done, out);
         }
     }
 
@@ -614,18 +599,18 @@ impl ShardedMonitorPool {
     /// every decision that misses it (`reactor::PooledReactor`).
     // lint: hot-path
     pub fn drain_deadline(&mut self, deadline: Instant, out: &mut Vec<Decision>) -> bool {
+        self.drain(Some(deadline), out)
+    }
+
+    /// Receives decisions into `out` until none is in flight (`true`) or
+    /// `deadline` passes (`false`); `None` waits as long as it takes.
+    // lint: hot-path
+    fn drain(&mut self, deadline: Option<Instant>, out: &mut Vec<Decision>) -> bool {
         while self.in_flight > 0 {
-            // lint: allow(determinism, reason = "deadline bookkeeping for the drain loop; decision values stay clock-free")
-            let timeout = deadline.saturating_duration_since(Instant::now());
+            let timeout =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now())); // lint: allow(determinism, reason = "deadline bookkeeping for the drain loop; decision values stay clock-free")
             match self.egress.recv_timeout(timeout) {
-                Ok(Event::Decision { decision, submitted }) => {
-                    self.record(&decision, submitted);
-                    out.push(decision);
-                }
-                Ok(Event::BarrierAck { .. }) => {
-                    // lint: allow(panic, reason = "acks exist only while flush_into is blocking; one leaking here is a protocol bug, fail loud")
-                    unreachable!("barrier acks are consumed by flush")
-                }
+                Ok(done) => self.receive(done, out),
                 Err(RecvTimeoutError::Timeout) => return false,
                 Err(RecvTimeoutError::Disconnected) => {
                     // lint: allow(panic, reason = "a dead shard worker while frames are in flight means lost decisions; the monitor must not limp on")
@@ -642,7 +627,7 @@ impl ShardedMonitorPool {
     }
 
     /// Latency decomposition of every decision drained so far via
-    /// [`ShardedMonitorPool::poll`] / [`ShardedMonitorPool::flush`] /
+    /// [`ShardedMonitorPool::poll_into`] / [`ShardedMonitorPool::flush`] /
     /// [`ShardedMonitorPool::drain_deadline`]: per-decision **compute**
     /// (`compute_ms`, warm frames only — warm-up frames carry no compute
     /// measurement) and **ingress-to-egress queueing** (submit timestamp →
@@ -670,17 +655,24 @@ impl ShardedMonitorPool {
         self.queue_telemetry.reset();
     }
 
-    fn record(&mut self, d: &Decision, submitted: Instant) {
+    /// Books one message home: the decision goes to `out`, its frame
+    /// buffer to the free list, its latencies to the telemetry.
+    // lint: hot-path
+    fn receive(&mut self, done: Done, out: &mut Vec<Decision>) {
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.queue_telemetry.record(submitted.elapsed().as_secs_f32() * 1000.0);
-        if let Some(o) = &d.output {
+        self.queue_telemetry.record(done.submitted.elapsed().as_secs_f32() * 1000.0);
+        if let Some(o) = &done.decision.output {
             self.compute_telemetry.record(o.compute_ms);
         }
+        self.spare_frames.push(done.frame);
+        out.push(done.decision);
     }
 
-    /// Waits until every frame submitted so far has been processed and
+    /// Waits until every frame submitted so far has its decision and
     /// returns all pending decisions. Decisions of one session appear in
-    /// frame order.
+    /// frame order. Only submitted frames are waited for, not queued
+    /// session or stall jobs: with nothing in flight this returns at once,
+    /// even while a shard sleeps in [`ShardedMonitorPool::inject_stall`].
     pub fn flush(&mut self) -> Vec<Decision> {
         let mut out = Vec::new();
         self.flush_into(&mut out);
@@ -688,27 +680,11 @@ impl ShardedMonitorPool {
     }
 
     /// [`ShardedMonitorPool::flush`] appending into a caller-owned buffer
-    /// (no allocation once the buffer is warm).
+    /// (no allocation once the buffer is warm); the same wait, for the
+    /// same decisions.
     // lint: hot-path
     pub fn flush_into(&mut self, out: &mut Vec<Decision>) {
-        self.barrier_token += 1;
-        let token = self.barrier_token;
-        for shard in 0..self.ingress.len() {
-            self.send(shard, Job::Barrier { token });
-        }
-        let mut acked = 0usize;
-        while acked < self.ingress.len() {
-            match self.egress.recv() {
-                Ok(Event::Decision { decision, submitted }) => {
-                    self.record(&decision, submitted);
-                    out.push(decision);
-                }
-                Ok(Event::BarrierAck { token: t }) if t == token => acked += 1,
-                Ok(Event::BarrierAck { .. }) => {}
-                // lint: allow(panic, reason = "a dead shard worker while frames are in flight means lost decisions; the monitor must not limp on")
-                Err(_) => panic!("shard worker exited while frames were in flight"),
-            }
-        }
+        self.drain(None, out);
     }
 
     // lint: hot-path
@@ -730,45 +706,38 @@ impl Drop for ShardedMonitorPool {
     }
 }
 
-/// The per-shard state a [`run_tick`] call consumes: the tick under
-/// construction plus per-session bookkeeping. All buffers are reused across
-/// ticks — the steady-state worker loop performs no per-tick allocation.
-/// Slots are recycled across sessions ([`Job::Bind`] / [`Job::Reset`]);
-/// `session_ids[slot]` is the current tenant every emitted decision is
-/// tagged with.
+/// The per-shard state a [`run_tick`] call consumes: the sessions' engines
+/// and the tick under construction. All buffers are reused across ticks —
+/// the steady-state worker loop performs no per-tick allocation. Slots are
+/// recycled across sessions ([`Job::Bind`] / [`Job::Reset`]); a decision's
+/// session and frame index arrive stamped on its [`Job::Frame`].
 struct ShardState {
     engines: Vec<InferenceEngine>,
-    frames_done: Vec<usize>,
-    session_ids: Vec<SessionId>,
     scratch: BatchScratch,
     steps: Vec<EngineStep>,
     /// The tick under construction (at most one job per session) and each
-    /// job's ingress timestamp, index-aligned.
+    /// job's session, frame index and submit time, index-aligned.
     tick: Vec<BatchJob>,
-    tick_submitted: Vec<Instant>,
+    stamps: Vec<(SessionId, usize, Instant)>,
     in_tick: Vec<bool>,
 }
 
 /// One shard: owns its sessions' engines, drains the ingress queue into
-/// micro-batched ticks, and reports decisions on the egress channel.
-#[allow(clippy::too_many_arguments)]
+/// micro-batched ticks, and sends each processed frame home on `egress`.
 fn worker_loop(
     pipeline: &TrainedPipeline,
     mode: ContextMode,
     threshold: f32,
     precision: Precision,
     ingress: &Receiver<Job>,
-    egress: &Sender<Event>,
-    recycle: &Sender<KinematicSample>,
+    egress: &Sender<Done>,
 ) {
     let mut state = ShardState {
         engines: Vec::new(),
-        frames_done: Vec::new(),
-        session_ids: Vec::new(),
         scratch: BatchScratch::new(pipeline),
         steps: Vec::new(),
         tick: Vec::new(),
-        tick_submitted: Vec::new(),
+        stamps: Vec::new(),
         in_tick: Vec::new(),
     };
 
@@ -786,72 +755,49 @@ fn worker_loop(
                 continue;
             };
             match job {
-                Job::Bind { slot, session } => {
-                    if slot == state.engines.len() {
-                        state
-                            .engines
-                            .push(InferenceEngine::with_precision(pipeline, mode, precision));
-                        state.frames_done.push(0);
-                        state.session_ids.push(session);
-                        state.in_tick.push(false);
-                    } else {
-                        // Recycled slot: frames of the previous tenant were
-                        // all enqueued before the Reset that freed it, so
-                        // the engine is already reset and out of the tick —
-                        // but reset defensively anyway; a stale window
-                        // leaking into a new session would corrupt silently.
-                        // lint: allow(panic, reason = "the pool binds only freed slots or the one fresh slot at engines.len()")
-                        if state.in_tick[slot] {
-                            run_tick(pipeline, threshold, &mut state, egress, recycle);
-                        }
-                        state.engines[slot].reset(); // lint: allow(panic, reason = "the pool binds only freed slots or the one fresh slot at engines.len()")
-                        state.frames_done[slot] = 0;
-                        state.session_ids[slot] = session; // lint: allow(panic, reason = "the pool binds only freed slots or the one fresh slot at engines.len()")
-                    }
+                Job::Bind { slot } if slot == state.engines.len() => {
+                    state.engines.push(InferenceEngine::with_precision(pipeline, mode, precision));
+                    state.in_tick.push(false);
                 }
-                Job::Reset { slot } => {
-                    // lint: allow(panic, reason = "the pool only resets slots it bound via Bind")
+                // A recycled slot was already reset by the Reset that freed
+                // it; reset it again anyway, since a stale window leaking
+                // into a new session would corrupt silently.
+                Job::Bind { slot } | Job::Reset { slot } => {
+                    // lint: allow(panic, reason = "the pool binds freed slots or the fresh one at engines.len(), and resets only bound slots")
                     if state.in_tick[slot] {
                         // The session's current frame must be scored (and
                         // its decision emitted) before the state rewinds.
-                        run_tick(pipeline, threshold, &mut state, egress, recycle);
+                        run_tick(pipeline, threshold, &mut state, egress);
                     }
-                    state.engines[slot].reset(); // lint: allow(panic, reason = "the pool only resets slots it bound via Bind")
-                    state.frames_done[slot] = 0;
+                    state.engines[slot].reset(); // lint: allow(panic, reason = "the pool binds freed slots or the fresh one at engines.len(), and resets only bound slots")
                 }
                 Job::Stall { dur } => std::thread::sleep(dur),
-                Job::Barrier { token } => {
-                    // Everything before the barrier must be visible.
-                    run_tick(pipeline, threshold, &mut state, egress, recycle);
-                    let _ = egress.send(Event::BarrierAck { token });
-                }
-                Job::Frame { slot, frame, context, submitted } => {
+                Job::Frame { slot, session, index, frame, context, submitted } => {
                     // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
                     if state.in_tick[slot] {
                         // Second frame of the same session: the current
                         // tick must complete first to keep per-session
                         // frame order (and window validity).
-                        run_tick(pipeline, threshold, &mut state, egress, recycle);
+                        run_tick(pipeline, threshold, &mut state, egress);
                     }
                     // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
                     state.in_tick[slot] = true;
                     state.tick.push(BatchJob { engine: slot, frame, context });
-                    state.tick_submitted.push(submitted);
+                    state.stamps.push((session, index, submitted));
                 }
             }
         }
-        run_tick(pipeline, threshold, &mut state, egress, recycle);
+        run_tick(pipeline, threshold, &mut state, egress);
     }
 }
 
-/// Runs one micro-batched tick and emits its decisions.
+/// Runs one micro-batched tick and sends each frame home with its decision.
 // lint: hot-path
 fn run_tick(
     pipeline: &TrainedPipeline,
     threshold: f32,
     state: &mut ShardState,
-    egress: &Sender<Event>,
-    recycle: &Sender<KinematicSample>,
+    egress: &Sender<Done>,
 ) {
     if state.tick.is_empty() {
         return;
@@ -860,26 +806,14 @@ fn run_tick(
     let start = Instant::now();
     step_batch(pipeline, &mut state.engines, &state.tick, &mut state.scratch, &mut state.steps);
     let per_frame_ms = start.elapsed().as_secs_f32() * 1000.0 / state.tick.len() as f32;
-    for ((job, step), submitted) in
-        state.tick.drain(..).zip(state.steps.iter()).zip(state.tick_submitted.drain(..))
+    for ((job, step), (session, index, submitted)) in
+        state.tick.drain(..).zip(state.steps.iter()).zip(state.stamps.drain(..))
     {
-        // Hand the frame buffer back before publishing its decision: a
-        // caller that submits its next frame on seeing the decision must
-        // find a buffer to reuse, or `submit` allocates. The pool may
-        // already be gone at shutdown.
-        let _ = recycle.send(job.frame);
-        let slot = job.engine;
-        let frame_idx = state.frames_done[slot]; // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind; per-slot vecs grow in lockstep")
-        state.frames_done[slot] += 1;
-        state.in_tick[slot] = false; // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind; per-slot vecs grow in lockstep")
-        let _ = egress.send(Event::Decision {
-            decision: Decision {
-                session: state.session_ids[slot], // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind; per-slot vecs grow in lockstep")
-                frame: frame_idx,
-                output: output_from_step(step, threshold, per_frame_ms),
-            },
-            submitted,
-        });
+        state.in_tick[job.engine] = false; // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind")
+        let output = output_from_step(step, threshold, per_frame_ms);
+        let decision = Decision { session, frame: index, output };
+        // The pool may already be gone at shutdown.
+        let _ = egress.send(Done { decision, submitted, frame: job.frame });
     }
 }
 
@@ -915,13 +849,13 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let f = &f;
         let handles: Vec<_> = balanced_chunks(items.len(), threads)
             .map(|range| {
                 // lint: allow(panic, reason = "balanced_chunks yields ranges inside 0..items.len() by construction")
                 let chunk = &items[range];
-                s.spawn(move |_| chunk.iter().map(f).collect::<Vec<R>>())
+                s.spawn(move || chunk.iter().map(f).collect::<Vec<R>>())
             })
             .collect();
         let mut out = Vec::with_capacity(items.len());
@@ -931,8 +865,6 @@ where
         }
         out
     })
-    // lint: allow(panic, reason = "scope errors only propagate worker panics, re-raised above")
-    .expect("parallel_map scope")
 }
 
 #[cfg(test)]

@@ -253,7 +253,7 @@ fn missing_context_is_a_typed_error_not_a_panic() {
 }
 
 /// Satellite: the pool-level latency telemetry measures every warm
-/// decision drained through `poll`/`flush` — compute per warm decision,
+/// decision drained through `poll_into`/`flush` — compute per warm decision,
 /// ingress-to-egress queueing per frame — and keeps its quantiles ordered.
 #[test]
 fn latency_stats_cover_drained_decisions() {
@@ -401,6 +401,29 @@ fn drain_deadline_leaves_stalled_decisions_for_the_next_drain() {
     let from_stalled: Vec<_> = out.iter().filter(|d| d.session == 0).collect();
     assert_eq!(from_stalled.len(), 1, "the delayed frame produces exactly one decision");
     assert_eq!(from_stalled[0].frame, 0);
+}
+
+/// `flush` waits for the decisions of submitted frames, not for jobs that
+/// produce none: a shard sleeping through a stall with nothing in flight
+/// must not hold up the flush of a frame on another shard.
+#[test]
+fn flush_waits_for_in_flight_frames_not_for_a_stalled_idle_shard() {
+    use std::time::{Duration, Instant};
+    let (pipeline, ds) = tiny_pipeline(59);
+    let mut pool = ShardedMonitorPool::with_sessions(
+        Arc::new(pipeline),
+        ContextMode::Predicted,
+        ServeConfig { workers: 2, threshold: 0.5, precision: Precision::F32 },
+        2, // session 0 -> shard 0, session 1 -> shard 1
+    );
+    pool.inject_stall(0, Duration::from_secs(3));
+    pool.submit(1, &ds.demos[1].frames[0]).expect("Predicted mode");
+    let start = Instant::now();
+    let decisions = pool.flush();
+    let waited = start.elapsed();
+    assert_eq!(decisions.len(), 1, "exactly the one submitted frame is decided");
+    assert_eq!((decisions[0].session, decisions[0].frame), (1, 0));
+    assert!(waited < Duration::from_secs(1), "flush waited {waited:?} on an idle stalled shard");
 }
 
 /// Fleet elasticity: removing a session mid-stream leaves every surviving

@@ -4,7 +4,7 @@
 //! reactor's per-tick `apply` + `observe` path, measured with its
 //! mitigation engaged (the worst case: alert bookkeeping plus command
 //! gating on every tick) — and around the **pooled** reactor tick
-//! (gate apply → pool submit → barrier drain → decision routing), where
+//! (gate apply → pool submit → flush drain → decision routing), where
 //! the counting allocator also observes the shard worker thread — and
 //! around a socket round trip through the ingress server, where it
 //! observes the client, the event loop and the shard worker.
@@ -227,7 +227,7 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
 
     // Part 3: the pooled reactor tick — the fleet deployment shape. Each
     // tick: gate apply (mitigation engaged, worst case) → pool submit
-    // (recycled frame buffer) → barrier drain into a reused buffer →
+    // (recycled frame buffer) → flush drain into a reused buffer →
     // decision routing into the gate. The allocator is process-global, so
     // the shard worker's micro-batched forward pass is measured too; the
     // whole loop must be allocation-free once warm.
