@@ -5,10 +5,12 @@
 //! Each stage is measured twice: once through the historical allocating
 //! path (`Network::predict`, fresh activation buffers per window — what
 //! both the offline and online code used before the `InferenceEngine`
-//! refactor) and once through the allocation-free path
+//! refactor) and once through the allocation-free scratch path
 //! (`Network::predict_scratch` / `score_window_scratch`, caller-owned
-//! scratch buffers) that the engine drives. The `_alloc` rows are the
-//! pre-refactor baseline the acceptance criterion compares against.
+//! scratch buffers). The `_alloc` rows are the pre-refactor baseline the
+//! acceptance criterion compares against. The engine runs its stages
+//! through `step_batch`'s tick (`step` is a one-job tick), not through
+//! `score_window_scratch`; `engine_step_frame` times that whole step.
 
 use bench::{jigsaws_dataset, suturing_monitor_cfg, Scale};
 use context_monitor::{ContextMode, InferenceEngine, TrainedPipeline};
@@ -56,7 +58,7 @@ fn bench_inference(c: &mut Criterion) {
     });
     let mut probs = [0.0f32; 2];
     let mut escratch = pipeline.error_scratch();
-    c.bench_function("error_window_into (engine path)", |b| {
+    c.bench_function("error_window_into (scratch path)", |b| {
         b.iter(|| {
             black_box(pipeline.score_window_scratch(
                 black_box(&window),
@@ -70,7 +72,7 @@ fn bench_inference(c: &mut Criterion) {
     });
 
     // Full two-stage decision per window.
-    c.bench_function("full_pipeline_window (engine path)", |b| {
+    c.bench_function("full_pipeline_window (scratch path)", |b| {
         b.iter(|| {
             pipeline.gesture_net.predict_scratch(black_box(&gwindow), &mut logits, &mut gscratch);
             let g = logits.argmax_row(0);

@@ -8,14 +8,17 @@
 //! frame-at-a-time evaluator that owns the per-session state (sliding
 //! windows, the causal gesture-smoothing filter, and inference scratch
 //! buffers) while the model weights stay in the shared [`TrainedPipeline`].
-//! Offline/online agreement is therefore true by construction: the two
-//! paths execute literally the same code.
+//!
+//! The two-stage step is written once, in the private tick behind
+//! [`step_batch`]; [`InferenceEngine::step`] runs it as a one-job tick.
+//! Offline, streaming and pooled outputs therefore agree by construction,
+//! which is why the tick itself is checked against an independent oracle
+//! (this module's `engine_matches_independent_oracle_bit_for_bit` test).
 //!
 //! Per frame, the steady-state hot path performs **no heap allocation**:
 //! feature extraction, normalization, windowing, both network forward passes
-//! (via [`nn::Network::predict_scratch`], or
-//! [`nn::Network::predict_batch_into`] in a pool tick), the softmax, and the
-//! majority filter all reuse preallocated buffers. The paper reports
+//! (via [`nn::Network::predict_batch_into`] or its int8 twin), the softmax,
+//! and the majority filter all reuse preallocated buffers. The paper reports
 //! 1.5–3.2 ms per-sample compute (Table VIII); keeping the per-frame path
 //! allocation-free is what lets one process multiplex many concurrent
 //! surgical sessions at that budget.
@@ -224,22 +227,14 @@ pub struct InferenceEngine {
     /// Last smoothed gesture (stage-2 routing context).
     gesture: Option<Gesture>,
     frames_seen: usize,
-    // Scratch buffers (reused every frame; no steady-state allocation).
-    // The network scratch lives here — not in the shared networks — so one
-    // read-only `TrainedPipeline` can serve many engines across threads.
+    // Per-frame feature rows (reused every frame; no steady-state allocation).
     feat: Vec<f32>,
     gfeat: Vec<f32>,
-    logits: Mat,
-    probs: [f32; 2],
-    /// Inference scratch for the stage-1 gesture classifier.
-    gscratch: NetworkScratch,
-    /// Inference scratch for the stage-2 error classifiers (they share one
-    /// architecture, so one scratch serves every route without reshaping).
-    escratch: NetworkScratch,
-    /// Int8-tier inference scratch (both stages; every buffer is
-    /// high-water, so one scratch serves them sequentially). Empty and
-    /// untouched on the f32 tier.
-    qscratch: QuantScratch,
+    /// The scratch [`step`](Self::step) runs its one-job tick on. It lives
+    /// here — not in the shared networks — so one read-only
+    /// `TrainedPipeline` can serve many engines across threads. A pool tick
+    /// brings its own and leaves this one untouched.
+    scratch: BatchScratch,
 }
 
 impl InferenceEngine {
@@ -277,11 +272,7 @@ impl InferenceEngine {
             frames_seen: 0,
             feat: Vec::with_capacity(pipeline.in_dim),
             gfeat: Vec::with_capacity(pipeline.gesture_in_dim),
-            logits: Mat::zeros(1, NUM_GESTURES),
-            probs: [0.0; 2],
-            gscratch: pipeline.gesture_net.make_scratch(),
-            escratch: pipeline.error_scratch(),
-            qscratch: QuantScratch::default(),
+            scratch: BatchScratch::new(pipeline),
         }
     }
 
@@ -326,7 +317,7 @@ impl InferenceEngine {
         if self.mode == ContextMode::Perfect {
             return Err(EngineError::MissingContext);
         }
-        Ok(self.step_inner(pipeline, frame, None))
+        Ok(self.step_alone(pipeline, frame, None))
     }
 
     /// Feeds one frame with externally supplied context (the
@@ -339,81 +330,27 @@ impl InferenceEngine {
         frame: &KinematicSample,
         gesture: Gesture,
     ) -> EngineStep {
-        self.step_inner(pipeline, frame, Some(gesture))
+        self.step_alone(pipeline, frame, Some(gesture))
     }
 
+    /// Runs the tick with this engine as its only job, on the engine's own
+    /// scratch.
     // lint: hot-path
-    fn step_inner(
+    fn step_alone(
         &mut self,
         pipeline: &TrainedPipeline,
         frame: &KinematicSample,
         context: Option<Gesture>,
     ) -> EngineStep {
-        self.frames_seen += 1;
-
-        // Stage 1: operational context.
-        self.gesture = if self.mode == ContextMode::Perfect {
-            // `step` rejects Perfect mode, so context is always Some here.
-            debug_assert!(context.is_some(), "Perfect mode requires context");
-            context
-        } else {
-            frame.to_feature_vec_into(&pipeline.config.gesture_features, &mut self.gfeat);
-            pipeline.gesture_normalizer.apply_frame_inplace(&mut self.gfeat);
-            match self.gesture_window.push(&self.gfeat) {
-                Some(gwindow) => {
-                    match self.precision {
-                        Precision::F32 => pipeline.gesture_net.predict_scratch(
-                            gwindow,
-                            &mut self.logits,
-                            &mut self.gscratch,
-                        ),
-                        Precision::Int8 => quantized(pipeline).gesture_net.predict_scratch(
-                            gwindow,
-                            &mut self.logits,
-                            &mut self.qscratch,
-                        ),
-                    }
-                    debug_assert_eq!(self.logits.cols(), NUM_GESTURES);
-                    Some(self.smooth_raw_class(self.logits.argmax_row(0)))
-                }
-                // Not warm yet: keep the previous smoothed value (always
-                // `None` here, since stage 1 warms before it cools).
-                None => self.gesture,
-            }
-        };
-
-        // Stage 2: unsafe probability, routed by the stage-1 context. In
-        // `NoContext` mode the single global classifier needs no context and
-        // scores as soon as its own window is warm.
-        frame.to_feature_vec_into(&pipeline.config.features, &mut self.feat);
-        pipeline.normalizer.apply_frame_inplace(&mut self.feat);
-        let routing = match self.mode {
-            ContextMode::NoContext => Some(0),
-            // lint: allow(hot-path, reason = "receiver is an Option, not a Mat -- std .map() name collision in the receiver-blind resolver")
-            _ => self.gesture.map(Gesture::index),
-        };
-        let unsafe_score = match (self.window.push(&self.feat), routing) {
-            (Some(window), Some(route)) => Some(match self.precision {
-                Precision::F32 => pipeline.score_window_scratch(
-                    window,
-                    route,
-                    self.mode,
-                    &mut self.logits,
-                    &mut self.probs,
-                    &mut self.escratch,
-                ),
-                Precision::Int8 => pipeline.score_window_scratch_q(
-                    window,
-                    route,
-                    self.mode,
-                    &mut self.logits,
-                    &mut self.probs,
-                    &mut self.qscratch,
-                ),
-            }),
-            _ => None,
-        };
-
+        let mut scratch = std::mem::take(&mut self.scratch);
+        tick(
+            pipeline,
+            std::slice::from_mut(self),
+            std::iter::once((0, frame, context)),
+            &mut scratch,
+        );
+        let unsafe_score = scratch.scores.first().copied().flatten();
+        self.scratch = scratch;
         EngineStep { gesture: self.gesture, unsafe_score }
     }
 
@@ -451,10 +388,14 @@ pub struct BatchJob {
     pub context: Option<Gesture>,
 }
 
-/// Reusable buffers for [`step_batch`]: stacked window matrices, batched
-/// logits, network scratch for both stages, and tick bookkeeping. One per
-/// shard worker; everything grows to a high-water mark and is reused.
-#[derive(Debug)]
+/// Reusable buffers for a tick: stacked window matrices, batched logits,
+/// network scratch for both stages, the softmax, and tick bookkeeping. A
+/// shard worker keeps one for [`step_batch`], and every engine keeps one for
+/// [`InferenceEngine::step`]. Everything grows to a high-water mark and is
+/// reused. `Default` is the empty placeholder `step` leaves in the engine
+/// while its tick runs; only [`BatchScratch::new`] sizes the network
+/// scratch a tick needs.
+#[derive(Debug, Default)]
 pub struct BatchScratch {
     gwindows: Mat,
     glogits: Mat,
@@ -464,9 +405,14 @@ pub struct BatchScratch {
     escratch: NetworkScratch,
     /// Int8-tier scratch (both stages, sequential use). Empty on f32 ticks.
     qscratch: QuantScratch,
+    probs: [f32; 2],
+    /// Engines whose gesture window is warm this tick.
     gmembers: Vec<usize>,
-    eready: Vec<bool>,
-    pending: Vec<(usize, ErrorRoute)>,
+    /// `(job, engine)` for each job whose error window is warm.
+    emembers: Vec<(usize, usize)>,
+    /// `(job, engine, route)` for each window awaiting stage 2.
+    pending: Vec<(usize, usize, ErrorRoute)>,
+    /// Each job's unsafe score, in job order.
     scores: Vec<Option<f32>>,
     seen: Vec<bool>,
 }
@@ -475,18 +421,9 @@ impl BatchScratch {
     /// Creates scratch sized for `pipeline`'s two classifier stages.
     pub fn new(pipeline: &TrainedPipeline) -> Self {
         Self {
-            gwindows: Mat::zeros(0, 0),
-            glogits: Mat::zeros(0, 0),
             gscratch: pipeline.gesture_net.make_scratch(),
-            ewindows: Mat::zeros(0, 0),
-            elogits: Mat::zeros(0, 0),
             escratch: pipeline.error_scratch(),
-            qscratch: QuantScratch::default(),
-            gmembers: Vec::new(),
-            eready: Vec::new(),
-            pending: Vec::new(),
-            scores: Vec::new(),
-            seen: Vec::new(),
+            ..Self::default()
         }
     }
 }
@@ -496,13 +433,14 @@ impl BatchScratch {
 /// gesture-net forward pass, and stage-2 windows are grouped by the error
 /// classifier they route to and batched per group.
 ///
-/// Exactly equivalent — bit-for-bit, per session — to calling
-/// [`InferenceEngine::step`] / [`InferenceEngine::step_with_context`] on
-/// each job in order: every batched row is the same dot-product sequence as
-/// its unbatched counterpart (see `nn::Network::predict_batch_into`), and
-/// per-session state (windows, majority filter) is untouched by batching.
-/// `outputs` is cleared and refilled with one [`EngineStep`] per job, in
-/// job order.
+/// [`InferenceEngine::step`] runs the same tick with one job, so a
+/// session's outputs do not depend on which of the two drives it: each
+/// batched row is the same dot-product sequence as that row alone (see
+/// `nn::Network::predict_batch_into`), and batching touches no
+/// per-session state (windows, majority filter). The test
+/// `engine_matches_independent_oracle_bit_for_bit` checks both paths
+/// against a reference that shares none of this code. `outputs` is cleared
+/// and refilled with one [`EngineStep`] per job, in job order.
 ///
 /// All engines must come from (engines configured identically to)
 /// `pipeline`.
@@ -510,8 +448,9 @@ impl BatchScratch {
 /// # Panics
 ///
 /// Panics when a job references an out-of-range or duplicated engine
-/// index, or when an engine in [`ContextMode::Perfect`] is given no
-/// context — the same invariant [`InferenceEngine::step`] reports as
+/// index, when the engines run at different [`Precision`]s, or when an
+/// engine in [`ContextMode::Perfect`] is given no context — the same
+/// invariant [`InferenceEngine::step`] reports as
 /// [`EngineError::MissingContext`]; the serving layer rejects such
 /// submissions before they ever reach a worker, and a loud panic here
 /// beats silently suppressing a session's output in release builds.
@@ -523,10 +462,26 @@ pub fn step_batch(
     scratch: &mut BatchScratch,
     outputs: &mut Vec<EngineStep>,
 ) {
+    // lint: allow(hot-path, reason = "receiver is a slice iterator, not a Mat -- std .map() name collision in the receiver-blind resolver")
+    tick(pipeline, engines, jobs.iter().map(|job| (job.engine, &job.frame, job.context)), scratch);
     outputs.clear();
-    if jobs.is_empty() {
-        return;
+    for (job, &unsafe_score) in jobs.iter().zip(&scratch.scores) {
+        // lint: allow(panic, reason = "the tick asserted every job.engine in range")
+        outputs.push(EngineStep { gesture: engines[job.engine].gesture, unsafe_score });
     }
+}
+
+/// The two-stage step, written once: feeds each job's `(engine, frame,
+/// context)` to that engine, runs one batched forward pass per classifier,
+/// and leaves each job's unsafe score in `scratch.scores`, in job order.
+/// See [`step_batch`] for the contract and the panics.
+// lint: hot-path
+fn tick<'f>(
+    pipeline: &TrainedPipeline,
+    engines: &mut [InferenceEngine],
+    jobs: impl Iterator<Item = (usize, &'f KinematicSample, Option<Gesture>)>,
+    scratch: &mut BatchScratch,
+) {
     let BatchScratch {
         gwindows,
         glogits,
@@ -535,64 +490,63 @@ pub fn step_batch(
         elogits,
         escratch,
         qscratch,
+        probs,
         gmembers,
-        eready,
+        emembers,
         pending,
         scores,
         seen,
     } = scratch;
-
     seen.clear();
     seen.resize(engines.len(), false);
-    for job in jobs.iter() {
-        assert!(job.engine < engines.len(), "step_batch: unknown engine {}", job.engine);
-        // Covers this line and the next: seen was just resized to
-        // engines.len() and job.engine passed the bound assert above.
-        assert!(!seen[job.engine], "step_batch: engine {} appears twice in one tick", job.engine); // lint: allow(panic, reason = "seen is engines.len() long and job.engine passed the bound assert")
-        seen[job.engine] = true;
-    }
-    // One batched forward pass serves the whole tick, so every engine in
-    // it must run at one numeric tier (the serving layer configures a pool
-    // uniformly; mixing tiers requires separate pools).
-    // lint: allow(panic, reason = "jobs is non-empty here and jobs[0].engine passed the entry bound assert")
-    let precision = engines[jobs[0].engine].precision;
+    gmembers.clear();
+    emembers.clear();
+    pending.clear();
+    scores.clear();
 
     // Phase 1: ingest every frame into its engine's windows (no inference).
-    gmembers.clear();
-    eready.clear();
-    for (j, job) in jobs.iter().enumerate() {
-        // lint: allow(panic, reason = "every job.engine passed the entry bound assert")
-        let e = &mut engines[job.engine];
-        assert!(e.precision == precision, "step_batch: mixed-precision tick");
+    // One batched forward pass serves the whole tick, so every engine in it
+    // must run at one numeric tier (the serving layer configures a pool
+    // uniformly; mixing tiers requires separate pools).
+    let mut precision = None;
+    for (j, (engine, frame, context)) in jobs.enumerate() {
+        assert!(engine < engines.len(), "step_batch: unknown engine {engine}");
+        // lint: allow(panic, reason = "engine passed the bound assert above, and seen is engines.len() long")
+        let (e, dup) = (&mut engines[engine], &mut seen[engine]);
+        assert!(
+            !std::mem::replace(dup, true),
+            "step_batch: engine {engine} appears twice in one tick"
+        );
+        let tier = *precision.get_or_insert(e.precision);
+        assert!(e.precision == tier, "step_batch: mixed-precision tick");
         e.frames_seen += 1;
         if e.mode == ContextMode::Perfect {
-            assert!(job.context.is_some(), "Perfect mode requires context (see EngineError)");
-            e.gesture = job.context;
+            assert!(context.is_some(), "Perfect mode requires context (see EngineError)");
+            e.gesture = context;
         } else {
-            job.frame.to_feature_vec_into(&pipeline.config.gesture_features, &mut e.gfeat);
+            frame.to_feature_vec_into(&pipeline.config.gesture_features, &mut e.gfeat);
             pipeline.gesture_normalizer.apply_frame_inplace(&mut e.gfeat);
             if e.gesture_window.push(&e.gfeat).is_some() {
-                gmembers.push(j);
+                gmembers.push(engine);
             }
         }
-        job.frame.to_feature_vec_into(&pipeline.config.features, &mut e.feat);
+        frame.to_feature_vec_into(&pipeline.config.features, &mut e.feat);
         pipeline.normalizer.apply_frame_inplace(&mut e.feat);
-        eready.push(e.window.push(&e.feat).is_some());
+        if e.window.push(&e.feat).is_some() {
+            emembers.push((j, engine));
+        }
+        scores.push(None);
     }
+    let Some(precision) = precision else { return };
 
     // Phase 2: one batched stage-1 forward pass for every warm gesture
     // window, then the per-session smoothing filters.
     if !gmembers.is_empty() {
-        let n = gmembers.len();
-        // lint: allow(panic, reason = "gmembers is non-empty here and holds indices of jobs; every job.engine passed the entry bound assert")
-        let first = &engines[jobs[gmembers[0]].engine];
-        let gw = first.gesture_window.width();
-        let gd = first.gesture_window.dims();
-        gwindows.resize(n * gw, gd);
-        for (b, &j) in gmembers.iter().enumerate() {
-            // lint: allow(panic, reason = "gmembers holds indices of jobs; every job.engine passed the entry bound assert")
-            let e = &engines[jobs[j].engine];
-            let copied = e.gesture_window.copy_current_into(gwindows, b * gw);
+        let (n, gw) = (gmembers.len(), pipeline.config.gesture_window);
+        gwindows.resize(n * gw, pipeline.gesture_in_dim);
+        for (b, &e) in gmembers.iter().enumerate() {
+            // lint: allow(panic, reason = "gmembers holds engine indices that passed the bound assert")
+            let copied = engines[e].gesture_window.copy_current_into(gwindows, b * gw);
             debug_assert!(copied, "warm window expected");
         }
         match precision {
@@ -604,61 +558,39 @@ pub fn step_batch(
             }
         }
         debug_assert_eq!(glogits.cols(), NUM_GESTURES);
-        for (b, &j) in gmembers.iter().enumerate() {
-            let raw = glogits.argmax_row(b);
-            // lint: allow(panic, reason = "gmembers holds indices of jobs; every job.engine passed the entry bound assert")
-            let e = &mut engines[jobs[j].engine];
-            e.gesture = Some(e.smooth_raw_class(raw));
+        for (b, &e) in gmembers.iter().enumerate() {
+            // lint: allow(panic, reason = "gmembers holds engine indices that passed the bound assert")
+            let e = &mut engines[e];
+            e.gesture = Some(e.smooth_raw_class(glogits.argmax_row(b)));
         }
     }
 
-    // Phase 3: stage-2 scoring, batched per routed classifier. Grouping by
-    // route is safe because every batched row only depends on its own
-    // window; the stable sort keeps job order within each group.
-    scores.clear();
-    scores.resize(jobs.len(), None);
-    pending.clear();
-    for (j, job) in jobs.iter().enumerate() {
-        // lint: allow(panic, reason = "eready got one push per job in phase 1, so j is in range")
-        if !eready[j] {
-            continue;
-        }
-        // lint: allow(panic, reason = "every job.engine passed the entry bound assert")
-        let e = &engines[job.engine];
-        let routing = match e.mode {
-            ContextMode::NoContext => Some(0),
-            // lint: allow(hot-path, reason = "receiver is an Option, not a Mat -- std .map() name collision in the receiver-blind resolver")
-            _ => e.gesture.map(Gesture::index),
+    // Phase 3: stage-2 scoring, batched per routed classifier. `NoContext`
+    // routes every window to the global classifier, with no context needed.
+    // Grouping by route is safe because every batched row only depends on
+    // its own window; the stable sort keeps job order within each group.
+    for &(j, e) in emembers.iter() {
+        // lint: allow(panic, reason = "emembers holds engine indices that passed the bound assert")
+        let engine = &engines[e];
+        let class = match (engine.mode, engine.gesture) {
+            (ContextMode::NoContext, _) => 0,
+            (_, Some(g)) => g.index(),
+            (_, None) => continue,
         };
-        let Some(route_class) = routing else { continue };
-        match pipeline.error_route(route_class, e.mode) {
-            // No classifier for this route: scored 0, like score_window_scratch.
-            // lint: allow(panic, reason = "scores was resized to jobs.len(), so j is in range")
-            None => scores[j] = Some(0.0),
-            Some(route) => pending.push((j, route)),
+        match pipeline.error_route(class, engine.mode) {
+            Some(route) => pending.push((j, e, route)),
+            // No classifier for this route: the score is 0.
+            None => scores[j] = Some(0.0), // lint: allow(panic, reason = "scores got one push per job in phase 1")
         }
     }
-    pending.sort_by_key(|&(_, route)| route);
-    let mut i = 0usize;
-    while i < pending.len() {
-        // lint: allow(panic, reason = "the loop condition holds i < pending.len()")
-        let route = pending[i].1;
-        let mut end = i + 1;
-        // lint: allow(panic, reason = "the while condition holds end < pending.len()")
-        while end < pending.len() && pending[end].1 == route {
-            end += 1;
-        }
-        let n = end - i;
-        // lint: allow(panic, reason = "pending holds (job index, route) pairs; every job.engine passed the entry bound assert")
-        let first = &engines[jobs[pending[i].0].engine];
-        let w = first.window.width();
-        let d = first.window.dims();
-        ewindows.resize(n * w, d);
-        // lint: allow(panic, reason = "i..end is a scanned run inside pending")
-        for (b, &(j, _)) in pending[i..end].iter().enumerate() {
-            // lint: allow(panic, reason = "pending holds job indices; every job.engine passed the entry bound assert")
-            let e = &engines[jobs[j].engine];
-            let copied = e.window.copy_current_into(ewindows, b * w);
+    pending.sort_by_key(|&(_, _, route)| route);
+    for group in pending.chunk_by(|a, b| a.2 == b.2) {
+        let Some(&(_, _, route)) = group.first() else { continue };
+        let (n, w) = (group.len(), pipeline.config.window.width);
+        ewindows.resize(n * w, pipeline.in_dim);
+        for (b, &(_, e, _)) in group.iter().enumerate() {
+            // lint: allow(panic, reason = "pending holds engine indices that passed the bound assert")
+            let copied = engines[e].window.copy_current_into(ewindows, b * w);
             debug_assert!(copied, "warm window expected");
         }
         match precision {
@@ -669,29 +601,19 @@ pub fn step_batch(
                 .error_net(route)
                 .predict_batch_into(ewindows, n, elogits, qscratch),
         }
-        // lint: allow(panic, reason = "i..end is a scanned run inside pending")
-        for (b, &(j, _)) in pending[i..end].iter().enumerate() {
-            // Covers this line and the next: pending holds job indices,
-            // every job.engine passed the entry assert, and probs/scores
-            // are sized by construction (binary head, jobs.len()).
-            let e = &mut engines[jobs[j].engine]; // lint: allow(panic, reason = "pending holds job indices bounded by the entry assert; probs/scores sized by construction")
-            softmax_into(elogits.row(b), &mut e.probs);
-            // lint: allow(panic, reason = "probs is the binary head (len 2); scores was resized to jobs.len()")
-            scores[j] = Some(e.probs[1]);
+        for (b, &(j, _, _)) in group.iter().enumerate() {
+            softmax_into(elogits.row(b), probs);
+            let [_, unsafe_p] = *probs;
+            scores[j] = Some(unsafe_p); // lint: allow(panic, reason = "scores got one push per job in phase 1")
         }
-        i = end;
-    }
-
-    // Phase 4: assemble per-job steps in submission order.
-    for (j, job) in jobs.iter().enumerate() {
-        // lint: allow(panic, reason = "every job.engine passed the entry bound assert; scores was resized to jobs.len()")
-        outputs.push(EngineStep { gesture: engines[job.engine].gesture, unsafe_score: scores[j] });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ErrorModelKind, MonitorConfig};
+    use kinematics::FeatureSet;
 
     /// Recount reference: most frequent value in a non-empty slice,
     /// earliest-seen winning ties. This is the exact rule the historical
@@ -782,15 +704,29 @@ mod tests {
         assert_eq!(filter.push(0), 0);
     }
 
-    fn trained() -> (TrainedPipeline, kinematics::Dataset) {
+    fn dataset() -> kinematics::Dataset {
         use gestures::Task;
         use jigsaws::{generate, GeneratorConfig};
-        let ds = generate(&GeneratorConfig::fast(Task::Suturing).with_seed(31));
-        let mut cfg = crate::config::MonitorConfig::fast(kinematics::FeatureSet::CRG).with_seed(5);
-        cfg.train.epochs = 3;
-        cfg.train_stride = 4;
+        generate(&GeneratorConfig::fast(Task::Suturing).with_seed(31))
+    }
+
+    /// The fast Suturing config, trained for `epochs` on windows `stride`
+    /// frames apart.
+    fn train(
+        ds: &kinematics::Dataset,
+        mut cfg: MonitorConfig,
+        epochs: usize,
+        stride: usize,
+    ) -> TrainedPipeline {
+        cfg.train.epochs = epochs;
+        cfg.train_stride = stride;
         let idx: Vec<usize> = (0..ds.len()).collect();
-        (TrainedPipeline::train(&ds, &idx, &cfg), ds)
+        TrainedPipeline::train(ds, &idx, &cfg)
+    }
+
+    fn trained() -> (TrainedPipeline, kinematics::Dataset) {
+        let ds = dataset();
+        (train(&ds, MonitorConfig::fast(FeatureSet::CRG).with_seed(5), 3, 4), ds)
     }
 
     #[test]
@@ -835,6 +771,207 @@ mod tests {
             replay(&mut engine, &pipeline, frames),
             fresh,
             "post-reset output must be bit-equal to a fresh engine"
+        );
+    }
+
+    /// A pipeline with fitted normalizers and seeded, untrained weights,
+    /// plus its int8 twin: enough to reach `step_batch`'s entry asserts.
+    fn untrained() -> (TrainedPipeline, kinematics::Dataset) {
+        let ds = dataset();
+        let none = crate::pipeline::TrainStages { gesture: false, errors: false };
+        let cfg = MonitorConfig::fast(FeatureSet::CRG);
+        let (mut pipeline, _) = TrainedPipeline::train_stages(&ds, &[0, 1], &cfg, none);
+        pipeline.quantize(&ds, &[0]).expect("quantize");
+        (pipeline, ds)
+    }
+
+    /// Runs one `step_batch` tick of `(engine, context)` jobs on demo 0's
+    /// first frame.
+    fn tick_of(
+        pipeline: &TrainedPipeline,
+        ds: &kinematics::Dataset,
+        mut engines: Vec<InferenceEngine>,
+        jobs: &[(usize, Option<Gesture>)],
+    ) {
+        let frame = &ds.demos[0].frames[0];
+        let jobs: Vec<BatchJob> = jobs
+            .iter()
+            .map(|&(engine, context)| BatchJob { engine, frame: frame.clone(), context })
+            .collect();
+        let mut scratch = BatchScratch::new(pipeline);
+        step_batch(pipeline, &mut engines, &jobs, &mut scratch, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "step_batch: engine 0 appears twice in one tick")]
+    fn step_batch_rejects_an_engine_twice_in_one_tick() {
+        let (p, ds) = untrained();
+        tick_of(
+            &p,
+            &ds,
+            vec![InferenceEngine::new(&p, ContextMode::Predicted)],
+            &[(0, None), (0, None)],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Perfect mode requires context")]
+    fn step_batch_rejects_a_perfect_engine_without_context() {
+        let (p, ds) = untrained();
+        tick_of(&p, &ds, vec![InferenceEngine::new(&p, ContextMode::Perfect)], &[(0, None)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "step_batch: mixed-precision tick")]
+    fn step_batch_rejects_a_mixed_precision_tick() {
+        let (p, ds) = untrained();
+        let engines = [Precision::F32, Precision::Int8]
+            .map(|tier| InferenceEngine::with_precision(&p, ContextMode::Predicted, tier));
+        tick_of(&p, &ds, engines.into(), &[(0, None), (1, None)]);
+    }
+
+    /// A frame's deterministic output: the gesture and the score's bits.
+    type Bits = (Option<Gesture>, Option<u32>);
+
+    /// Index of the first maximal logit.
+    fn first_max(row: &[f32]) -> usize {
+        (0..row.len()).fold(0, |best, i| if row[i] > row[best] { i } else { best })
+    }
+
+    /// Independent per-frame reference for the engine, sharing none of its
+    /// inference code: windows are row slices of the whole demo's
+    /// normalized feature matrix, both stages run the training-side
+    /// `Network::predict` (`forward`, not `infer_batch_into`), smoothing is
+    /// the `mode_of` recount, routing reads the classifier maps directly
+    /// (not `error_route`), and the score is the allocating `softmax`.
+    /// Counts the context-routed windows that a dedicated classifier
+    /// (`routes[0]`) and the global fallback (`routes[1]`) scored.
+    fn oracle(
+        pipeline: &mut TrainedPipeline,
+        demo: &kinematics::Demonstration,
+        mode: ContextMode,
+        routes: &mut [usize; 2],
+    ) -> Vec<Bits> {
+        let cfg = pipeline.config.clone();
+        let (w, gw, k) = (cfg.window.width, cfg.gesture_window, cfg.gesture_smoothing.max(1));
+        let feats = pipeline.normalizer.apply(&demo.feature_matrix(&cfg.features));
+        let gfeats = pipeline.gesture_normalizer.apply(&demo.feature_matrix(&cfg.gesture_features));
+        let mut raw = Vec::new();
+        let mut out = Vec::new();
+        for t in 0..demo.len() {
+            let gesture = match mode {
+                ContextMode::Perfect => Some(demo.gestures[t]),
+                _ if t + 1 < gw => None,
+                _ => {
+                    let logits =
+                        pipeline.gesture_net.predict(&gfeats.slice_rows(t + 1 - gw, t + 1));
+                    raw.push(first_max(logits.row(0)));
+                    Gesture::from_index(mode_of(&raw[raw.len().saturating_sub(k)..]))
+                }
+            };
+            // Outer `None`: not scored yet. Inner `None`: no classifier.
+            let net = match (mode, gesture) {
+                _ if t + 1 < w => None,
+                (ContextMode::NoContext, _) => Some(pipeline.global_error_net.as_mut()),
+                (_, Some(g)) => Some(match pipeline.error_nets.get_mut(&g.index()) {
+                    Some(net) => {
+                        routes[0] += 1;
+                        Some(net)
+                    }
+                    None => {
+                        routes[1] += 1;
+                        pipeline.global_error_net.as_mut()
+                    }
+                }),
+                (_, None) => None,
+            };
+            let score = net.map(|net| match net {
+                Some(net) => {
+                    nn::loss::softmax(net.predict(&feats.slice_rows(t + 1 - w, t + 1)).row(0))[1]
+                }
+                None => 0.0,
+            });
+            out.push((gesture, score.map(f32::to_bits)));
+        }
+        out
+    }
+
+    /// Steps one engine per demo through every frame: alone with
+    /// `step`/`step_with_context`, and together in `step_batch` ticks
+    /// (ragged once the shorter demo ends). Context is supplied to the
+    /// batch in every mode, where only `Perfect` may read it.
+    fn engine_runs(
+        pipeline: &TrainedPipeline,
+        demos: &[&kinematics::Demonstration],
+        mode: ContextMode,
+    ) -> (Vec<Vec<Bits>>, Vec<Vec<Bits>>) {
+        let bits = |s: &EngineStep| (s.gesture, s.unsafe_score.map(f32::to_bits));
+        let alone = demos
+            .iter()
+            .map(|d| {
+                let mut engine = InferenceEngine::new(pipeline, mode);
+                let steps = d.frames.iter().zip(&d.gestures).map(|(f, &g)| match mode {
+                    ContextMode::Perfect => engine.step_with_context(pipeline, f, g),
+                    _ => engine.step(pipeline, f).expect("only Perfect mode needs context"),
+                });
+                steps.map(|s| bits(&s)).collect()
+            })
+            .collect();
+        let mut engines: Vec<_> =
+            demos.iter().map(|_| InferenceEngine::new(pipeline, mode)).collect();
+        let mut scratch = BatchScratch::new(pipeline);
+        let mut steps = Vec::new();
+        let mut batched = vec![Vec::new(); demos.len()];
+        for t in 0..demos.iter().map(|d| d.len()).max().unwrap_or(0) {
+            let jobs: Vec<BatchJob> = (0..demos.len())
+                .filter(|&e| t < demos[e].len())
+                .map(|e| BatchJob {
+                    engine: e,
+                    frame: demos[e].frames[t].clone(),
+                    context: Some(demos[e].gestures[t]),
+                })
+                .collect();
+            step_batch(pipeline, &mut engines, &jobs, &mut scratch, &mut steps);
+            for (job, s) in jobs.iter().zip(&steps) {
+                batched[job.engine].push(bits(s));
+            }
+        }
+        (alone, batched)
+    }
+
+    /// The engine — alone and batched — equals the independent oracle bit
+    /// for bit on every frame, warm-up included, in every context mode,
+    /// over several training seeds and both stage-2 architectures, with
+    /// both the dedicated and the global-fallback route exercised.
+    #[test]
+    fn engine_matches_independent_oracle_bit_for_bit() {
+        let ds = dataset();
+        let demos = [&ds.demos[0], &ds.demos[1]];
+        let mut routes = [0usize; 2];
+        let conv = ErrorModelKind::Conv { c1: 16, c2: 16, dense: 16 };
+        let lstm = ErrorModelKind::Lstm { hidden: 8, dense: 8 };
+        for (seed, stage2) in [(5, conv), (6, lstm), (7, conv), (8, lstm)] {
+            let cfg = MonitorConfig::fast(FeatureSet::CRG).with_seed(seed).with_error_model(stage2);
+            let mut pipeline = train(&ds, cfg, 1, 8);
+            for mode in [ContextMode::Predicted, ContextMode::Perfect, ContextMode::NoContext] {
+                let (alone, batched) = engine_runs(&pipeline, &demos, mode);
+                for (d, demo) in demos.iter().enumerate() {
+                    let expected = oracle(&mut pipeline, demo, mode, &mut routes);
+                    for (path, got) in [("step", &alone[d]), ("step_batch", &batched[d])] {
+                        assert_eq!(got.len(), expected.len());
+                        for (t, (g, e)) in got.iter().zip(&expected).enumerate() {
+                            assert_eq!(
+                                g, e,
+                                "{stage2} seed {seed} {mode:?} demo {d} frame {t} ({path})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            routes[0] > 0 && routes[1] > 0,
+            "dedicated and fallback routes both taken: {routes:?}"
         );
     }
 }

@@ -579,7 +579,6 @@ impl TrainedPipeline {
     ) -> f32 {
         match self.error_route(gesture, mode) {
             Some(route) => {
-                // lint: allow(panic, reason = "engines call quantize() before selecting Int8 precision; validated at engine construction")
                 let quantized = self.quantized.as_ref().expect("quantize() before Int8 scoring");
                 quantized.error_net(route).predict_scratch(window, logits, scratch);
                 softmax_into(logits.row(0), probs);

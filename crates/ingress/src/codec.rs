@@ -14,7 +14,7 @@
 //! | kind | message  | payload |
 //! |------|----------|---------|
 //! | 0x01 | HELLO    | `u8 wants_context` |
-//! | 0x02 | FRAME    | `u32 seq \| u8 context (0xFF = none, else gesture index) \| u8 nmanip \| nmanip × 19 f32le` |
+//! | 0x02 | FRAME    | `u32 seq \| u8 context (0xFF = none, else gesture index) \| u8 nmanip \| nmanip × 19 finite f32le` |
 //! | 0x03 | GOODBYE  | empty |
 //! | 0x81 | WELCOME  | `u64 session` |
 //! | 0x82 | BUSY     | `u32 active \| u32 cap` |
@@ -28,10 +28,11 @@
 //!
 //! Decoding never trusts the peer: the length prefix is bounds-checked
 //! against [`MAX_BODY`] **before any buffer growth**, every payload read
-//! is checked ([`Cursor`]), and a declared manipulator count is verified
-//! against the actual body length. The whole module is in the workspace
-//! linter's no-panic scope (`lint.toml`); malformed input surfaces as
-//! [`ProtoError`], not as a panic in a worker thread.
+//! is checked ([`Cursor`]), a declared manipulator count is verified
+//! against the actual body length, and every manipulator variable must be
+//! finite. The whole module is in the workspace linter's no-panic scope
+//! (`lint.toml`); malformed input surfaces as [`ProtoError`], not as a
+//! panic in a worker thread.
 
 use bytes::{Buf, BufMut, BytesMut};
 use gestures::Gesture;
@@ -94,6 +95,10 @@ pub enum ProtoError {
         /// The context byte received.
         got: u8,
     },
+    /// FRAME manipulator variable is NaN or infinite. Nothing downstream
+    /// would catch it: ReLU's `f32::max` turns a NaN into a finite, wrong
+    /// score.
+    NonFinite,
 }
 
 impl std::fmt::Display for ProtoError {
@@ -109,6 +114,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Truncated => write!(f, "payload shorter than its header claims"),
             ProtoError::TrailingBytes => write!(f, "payload longer than its header claims"),
             ProtoError::BadGesture { got } => write!(f, "context byte {got:#04x} is no gesture"),
+            ProtoError::NonFinite => write!(f, "manipulator variable is NaN or infinite"),
         }
     }
 }
@@ -122,7 +128,7 @@ impl std::error::Error for ProtoError {}
 #[repr(u8)]
 pub enum ErrorCode {
     /// Generic framing/payload violation (truncated, trailing, bad
-    /// gesture byte).
+    /// gesture byte, non-finite manipulator variable).
     Malformed = 1,
     /// Version byte mismatch.
     BadVersion = 2,
@@ -170,9 +176,10 @@ impl From<ProtoError> for ErrorCode {
             ProtoError::Oversized { .. } => ErrorCode::Oversized,
             ProtoError::BadVersion { .. } => ErrorCode::BadVersion,
             ProtoError::BadKind { .. } => ErrorCode::BadKind,
-            ProtoError::Truncated | ProtoError::TrailingBytes | ProtoError::BadGesture { .. } => {
-                ErrorCode::Malformed
-            }
+            ProtoError::Truncated
+            | ProtoError::TrailingBytes
+            | ProtoError::BadGesture { .. }
+            | ProtoError::NonFinite => ErrorCode::Malformed,
         }
     }
 }
@@ -331,9 +338,15 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(raw))
     }
 
+    /// Reads one finite f32; NaN and ±∞ are [`ProtoError::NonFinite`].
     // lint: hot-path
     fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_bits(self.u32()?))
+        let x = f32::from_bits(self.u32()?);
+        if x.is_finite() {
+            Ok(x)
+        } else {
+            Err(ProtoError::NonFinite)
+        }
     }
 
     // lint: hot-path
@@ -491,7 +504,7 @@ fn decode_body(body: &[u8], frame: &mut FrameMsg) -> Result<Decoded, ProtoError>
     }
 }
 
-/// Reads 19 f32le variables in JIGSAWS column order (the layout of
+/// Reads 19 finite f32le variables in JIGSAWS column order (the layout of
 /// `ManipulatorState::to_vec`), preserving bit patterns.
 // lint: hot-path
 fn decode_manipulator(cur: &mut Cursor<'_>, out: &mut ManipulatorState) -> Result<(), ProtoError> {

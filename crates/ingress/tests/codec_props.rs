@@ -250,6 +250,27 @@ fn frame_with_invalid_gesture_byte_rejected() {
 }
 
 #[test]
+fn frame_with_non_finite_float_rejected() {
+    // NaN, +inf and -inf in each variable of a two-manipulator FRAME.
+    let mut sample = KinematicSample::default();
+    synthetic_sample_into(5, 9, 2, &mut sample);
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for at in 0..sample.to_vec().len() {
+            let mut vars = sample.to_vec();
+            vars[at] = bad;
+            let mut wire = BytesMut::new();
+            encode_frame(&mut wire, 1, None, &KinematicSample::from_slice(&vars, 2));
+            let mut dec = Decoder::new();
+            let mut frame = FrameMsg::default();
+            dec.extend(wire.chunk());
+            let got = dec.decode_next(&mut frame);
+            assert_eq!(got, Err(ProtoError::NonFinite), "{bad} in variable {at}");
+        }
+    }
+    assert_eq!(ErrorCode::from(ProtoError::NonFinite), ErrorCode::Malformed);
+}
+
+#[test]
 fn frame_with_lying_manipulator_count_rejected() {
     // Declares 3 manipulators but carries bytes for none.
     let body = [WIRE_VERSION, KIND_FRAME, 0, 0, 0, 0, 0xFF, 3];

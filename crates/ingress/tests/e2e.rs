@@ -284,7 +284,14 @@ fn malformed_clients_get_typed_errors_and_the_service_survives() {
     conn.send_frame(0, Some(ds.demos[0].gestures[0]), &ds.demos[0].frames[0]).expect("frame");
     expect_error_then_close(&mut conn, ErrorCode::BadContext);
 
-    assert_eq!(server.stats().protocol_errors, 7);
+    // Admitted, then a NaN kinematic variable.
+    let mut conn = admit_with_retry(&addr, Duration::from_secs(5));
+    let mut nan = ds.demos[0].frames[0].clone();
+    nan.manipulators[0].position.x = f32::NAN;
+    conn.send_frame(0, None, &nan).expect("frame");
+    expect_error_then_close(&mut conn, ErrorCode::Malformed);
+
+    assert_eq!(server.stats().protocol_errors, 8);
 
     // No panicked worker, no stalled pool: a well-formed session still
     // gets bit-exact service after all of the abuse above.
