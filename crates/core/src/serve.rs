@@ -7,7 +7,10 @@
 //! nobody leaves), frames travel to their shard over that shard's ingress
 //! channel, and every processed frame comes home as one message on a shared
 //! egress channel: its decision plus the frame buffer, for reuse by the next
-//! submit. The fleet is **elastic**: sessions can be
+//! submit. A caller that waits on something other than that channel (the
+//! ingress event loop waits in `poll(2)` on its sockets) can install one
+//! [wake hook](ShardedMonitorPool::set_wake_hook), which each worker calls
+//! after a tick's decisions are sent. The fleet is **elastic**: sessions can be
 //! [removed](ShardedMonitorPool::remove_session) at any time — their engine
 //! slot is recycled by the next [`add_session`](ShardedMonitorPool::add_session)
 //! while decisions already in flight drain normally — so clients of a
@@ -41,7 +44,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gestures::Gesture;
 use kinematics::KinematicSample;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -147,6 +150,10 @@ struct Done {
     submitted: Instant,
     frame: KinematicSample,
 }
+
+/// The hook [`ShardedMonitorPool::set_wake_hook`] installs, shared with
+/// every shard worker.
+type WakeHook = Arc<OnceLock<Box<dyn Fn() + Send + Sync>>>;
 
 /// Log-scale bucket count of the latency histogram: 6 decades
 /// (10⁻⁴ … 10² ms) at 40 buckets per decade, ≈ 5.9% relative resolution.
@@ -271,6 +278,7 @@ pub struct ShardedMonitorPool {
     mode: ContextMode,
     ingress: Vec<Sender<Job>>,
     egress: Receiver<Done>,
+    wake: WakeHook,
     /// Frame buffers that came home with their decisions, reused by the
     /// next `submit` so the steady-state ingress path allocates nothing (a
     /// fresh clone happens only while the in-flight high-water mark is
@@ -318,16 +326,18 @@ impl ShardedMonitorPool {
         );
         let workers = config.workers.max(1);
         let (egress_tx, egress_rx) = unbounded();
+        let wake = WakeHook::default();
         let mut ingress = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (tx, rx) = unbounded();
             let pipeline = Arc::clone(&pipeline);
             let egress = egress_tx.clone();
+            let wake = Arc::clone(&wake);
             let threshold = config.threshold;
             let precision = config.precision;
             handles.push(std::thread::spawn(move || {
-                worker_loop(&pipeline, mode, threshold, precision, &rx, &egress);
+                worker_loop(&pipeline, mode, threshold, precision, &rx, &egress, wake);
             }));
             ingress.push(tx);
         }
@@ -335,6 +345,7 @@ impl ShardedMonitorPool {
             mode,
             ingress,
             egress: egress_rx,
+            wake,
             spare_frames: Vec::new(),
             handles,
             assignments: Vec::new(),
@@ -578,6 +589,21 @@ impl ShardedMonitorPool {
         self.send(shard, Job::Stall { dur });
     }
 
+    /// Installs `hook`, which a shard worker calls after each tick's
+    /// decisions are sent home and before it waits for more work. A caller
+    /// that blocks on something other than this pool (an event loop in
+    /// `poll(2)` on its sockets, say) uses it to wake when decisions become
+    /// ready for [`ShardedMonitorPool::poll_into`]. The hook runs on the
+    /// shard threads once per tick, so it must be cheap. Without a hook a
+    /// tick pays one atomic load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool already has a wake hook.
+    pub fn set_wake_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
+        assert!(self.wake.set(Box::new(hook)).is_ok(), "the pool already has a wake hook");
+    }
+
     /// Non-blocking drain of the decisions that are ready right now,
     /// appended into a caller-owned buffer (no allocation once the buffer
     /// is warm).
@@ -720,6 +746,7 @@ struct ShardState {
     tick: Vec<BatchJob>,
     stamps: Vec<(SessionId, usize, Instant)>,
     in_tick: Vec<bool>,
+    wake: WakeHook,
 }
 
 /// One shard: owns its sessions' engines, drains the ingress queue into
@@ -731,6 +758,7 @@ fn worker_loop(
     precision: Precision,
     ingress: &Receiver<Job>,
     egress: &Sender<Done>,
+    wake: WakeHook,
 ) {
     let mut state = ShardState {
         engines: Vec::new(),
@@ -739,6 +767,7 @@ fn worker_loop(
         tick: Vec::new(),
         stamps: Vec::new(),
         in_tick: Vec::new(),
+        wake,
     };
 
     // `recv` blocks for work and errors once the pool drops its senders.
@@ -791,7 +820,8 @@ fn worker_loop(
     }
 }
 
-/// Runs one micro-batched tick and sends each frame home with its decision.
+/// Runs one micro-batched tick, sends each frame home with its decision,
+/// then calls the pool's wake hook, if one is installed.
 // lint: hot-path
 fn run_tick(
     pipeline: &TrainedPipeline,
@@ -814,6 +844,9 @@ fn run_tick(
         let decision = Decision { session, frame: index, output };
         // The pool may already be gone at shutdown.
         let _ = egress.send(Done { decision, submitted, frame: job.frame });
+    }
+    if let Some(wake) = state.wake.get() {
+        wake();
     }
 }
 

@@ -13,14 +13,18 @@
 //!   panic.
 //! - [`server`] — std-net TCP front end: one nonblocking event loop
 //!   thread owns the listener, every connection and the pool, so the
-//!   service runs `workers + 1` threads at any connection count; its
-//!   admission controller *sheds* (typed BUSY) instead of delaying
-//!   admitted sessions.
+//!   service runs `workers + 1` threads at any connection count. It
+//!   blocks in `poll(2)` until a socket is ready or a shard worker signals
+//!   a decision, so an idle server uses no CPU; its admission controller
+//!   *sheds* (typed BUSY) instead of delaying admitted sessions.
 //! - [`client`] — blocking client used by tests and tools.
 //! - [`loadgen`] — closed-loop load generator: hundreds of concurrent
 //!   synthetic sessions, per-frame round-trip latency quantiles, shed
 //!   accounting (`BENCH_ingress.json` comes from `repro_serve`'s sweep
 //!   over it).
+//!
+//! The crate is Unix-only: the server waits with `poll(2)`, its one FFI
+//! call, and wakes itself through a `std::os::unix` socket pair.
 //!
 //! [`ShardedMonitorPool`]: context_monitor::ShardedMonitorPool
 

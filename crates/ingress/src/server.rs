@@ -7,17 +7,29 @@
 //!
 //! ```text
 //!   clients ⇄ sockets ⇄ event loop ──submit──▶ shard workers
-//!                         (owns the pool) ◀──poll_into──┘
+//!                  ▲      (owns the pool) ◀──poll_into──┘
+//!                  └────── wake descriptor ◀── wake hook ┘
 //! ```
 //!
-//! Each pass of the loop accepts pending connections, reads each socket
-//! once and acts on every complete message (validate, admit, submit),
-//! encodes the pool's ready decisions into per-connection output buffers,
-//! and writes only what each socket accepts, so one slow client never
-//! blocks the others. Unless a read filled its buffer, the loop then
-//! waits: in [`ShardedMonitorPool::drain_deadline`] while frames are in
-//! flight, so their decisions wake it as soon as they are ready, and
-//! otherwise in a sleep of a fixed `IDLE_WAIT`.
+//! Each pass of the loop waits for readiness, then acts on what `poll(2)`
+//! reported: it accepts pending connections if the listener is readable,
+//! reads each readable socket once and acts on every complete message
+//! (validate, admit, submit), encodes the pool's ready decisions into
+//! per-connection output buffers, and writes only what each socket
+//! accepts, so one slow client never blocks the others.
+//!
+//! The loop waits in `poll(2)` with no timeout, on the listener, each
+//! socket (readable while the loop still reads it, writable while replies
+//! wait in its output buffer) and one end of a Unix socket pair, the wake
+//! descriptor. Readiness is level-triggered, so a socket whose read filled
+//! the buffer is reported again at once. Decisions reach the loop through
+//! the pool's wake hook: after a tick's decisions are sent home, a shard
+//! worker writes one byte to the wake descriptor. The loop empties the
+//! descriptor before it takes the pool's ready decisions, so a decision
+//! sent after that look leaves a byte behind and the next wait returns at
+//! once. Shutdown writes to the wake descriptor too. An idle server
+//! therefore costs no CPU, and a frame or decision is acted on as soon as
+//! it is ready.
 //!
 //! **Admission control sheds, never delays**: a HELLO past the session
 //! cap gets a typed BUSY reply and a closed connection immediately.
@@ -32,8 +44,11 @@
 //! reuses one [`FrameMsg`], the pool copies each frame into a recycled
 //! buffer, and each connection reuses its input and output buffers.
 
+use std::ffi::{c_int, c_short};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,17 +64,88 @@ use crate::codec::{
     Decoder, ErrorCode, FrameMsg,
 };
 
-/// How long the loop sleeps when it has nothing to do and no frame is in
-/// flight: about the longest a new message waits to be read. It trades
-/// latency for idle CPU. On `wire_replay` (2-vCPU VM, int8, two sessions
-/// at 1 kHz each; medians of 6 runs), 250 µs gave decision p50 0.35 ms
-/// with the loop thread spending 27 µs of CPU per decision, and 100 µs
-/// gave 0.30 ms at 41 µs.
-const IDLE_WAIT: Duration = Duration::from_micros(250);
-
 /// Most bytes taken from one socket per pass, so a flooding client
 /// cannot starve the others.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// How long the loop leaves the listener out of its wait after `accept`
+/// fails for want of a resource (see [`exhausted`]). The failed connection
+/// stays queued, so the level-triggered listener would otherwise report
+/// readable on every pass and spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// `errno` values of `accept(2)` for want of a resource, besides ENOMEM,
+/// which std reports as [`ErrorKind::OutOfMemory`]. EMFILE and ENFILE are
+/// the same on every Unix; ENOBUFS is 55 on macOS and the BSDs.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const ENOBUFS: i32 = 105;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const ENOBUFS: i32 = 55;
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+// The event bits are the same on Linux, the BSDs and macOS.
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+const POLLERR: c_short = 0x8;
+const POLLHUP: c_short = 0x10;
+
+/// `nfds_t`, the type of `poll`'s descriptor count.
+#[cfg(target_os = "linux")]
+type Nfds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+}
+
+impl PollFd {
+    fn new(fd: RawFd, events: c_short) -> Self {
+        Self { fd, events, revents: 0 }
+    }
+
+    /// Whether a read would not block: data, end of stream, or an error
+    /// the read reports.
+    fn readable(&self) -> bool {
+        self.revents & (POLLIN | POLLHUP | POLLERR) != 0
+    }
+}
+
+/// Blocks until one of `fds` is ready, or for at most `timeout_ms`
+/// (`-1`: no limit). A failed or interrupted `poll` leaves every `revents`
+/// at 0, which the loop reads as nothing ready.
+fn wait(fds: &mut [PollFd], timeout_ms: c_int) {
+    // SAFETY: `fds` is a live, exclusively borrowed slice of `#[repr(C)]`
+    // `struct pollfd` records, and `poll` reads and writes only its first
+    // `fds.len()` entries.
+    unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+}
+
+/// How other threads stop or wake the event loop: the pool's wake hook
+/// and [`IngressServer::shutdown`] write to `tx`, and the loop waits on the
+/// other end of the pair.
+struct Wake {
+    shutdown: AtomicBool,
+    tx: UnixStream,
+}
+
+impl Wake {
+    /// Makes the loop's wait return. Nonblocking: if the pair's buffer is
+    /// full, the loop has unread wake bytes already.
+    // lint: hot-path
+    fn signal(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+}
 
 /// How to run the service.
 #[derive(Debug, Clone)]
@@ -122,7 +208,7 @@ struct Counters {
 /// down and joins the event loop (which joins the shard workers).
 pub struct IngressServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    wake: Arc<Wake>,
     counters: Arc<Counters>,
     event_loop: Option<JoinHandle<()>>,
 }
@@ -137,11 +223,17 @@ impl IngressServer {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (wake_rx, tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        let wake = Arc::new(Wake { shutdown: AtomicBool::new(false), tx });
 
-        let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
+        let pool = ShardedMonitorPool::new(pipeline, cfg.mode, cfg.serve);
+        let hook = Arc::clone(&wake);
+        pool.set_wake_hook(move || hook.signal());
         let service = Service {
-            pool: ShardedMonitorPool::new(pipeline, cfg.mode, cfg.serve),
+            pool,
             counters: Arc::clone(&counters),
             mode: cfg.mode,
             manipulators: cfg.manipulators,
@@ -149,12 +241,12 @@ impl IngressServer {
             active: 0,
             frame: FrameMsg::default(),
         };
-        let stop = Arc::clone(&shutdown);
+        let control = Arc::clone(&wake);
         let event_loop = std::thread::Builder::new()
             .name("ingress-loop".to_string())
-            .spawn(move || event_loop(&listener, service, &stop))?;
+            .spawn(move || event_loop(&listener, &wake_rx, &control, service))?;
 
-        Ok(Self { addr, shutdown, counters, event_loop: Some(event_loop) })
+        Ok(Self { addr, wake, counters, event_loop: Some(event_loop) })
     }
 
     /// The address the service is listening on (with the real port when
@@ -177,8 +269,9 @@ impl IngressServer {
     /// Stops the event loop, which drains in-flight compute, closes every
     /// connection, and shuts the pool down. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.event_loop.take() {
+            self.wake.shutdown.store(true, Ordering::Release);
+            self.wake.signal();
             let _ = h.join();
         }
     }
@@ -232,6 +325,19 @@ impl Conn {
         !matches!(self.state, ConnState::Closing | ConnState::Closed)
     }
 
+    /// What the loop waits for on this socket: input while it still reads,
+    /// room to write while replies are queued.
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if self.reading() {
+            events |= POLLIN;
+        }
+        if !self.out.is_empty() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
     /// Writes what the socket accepts without blocking.
     // lint: hot-path
     fn flush(&mut self) -> std::io::Result<()> {
@@ -261,30 +367,51 @@ struct Service {
     frame: FrameMsg,
 }
 
-fn event_loop(listener: &TcpListener, mut service: Service, shutdown: &AtomicBool) {
+fn event_loop(listener: &TcpListener, wake_rx: &UnixStream, wake: &Wake, mut service: Service) {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut decisions: Vec<Decision> = Vec::new();
     let mut buf = [0u8; READ_CHUNK];
-    while !shutdown.load(Ordering::Acquire) {
-        accept(listener, &mut conns);
-        let mut more = false;
-        for conn in &mut conns {
-            more |= service.read_conn(conn, &mut buf);
+    // When the listener rejoins the wait after a failed `accept`.
+    let mut accept_resume: Option<Instant> = None;
+    while !wake.shutdown.load(Ordering::Acquire) {
+        let backoff = accept_resume
+            .map_or(Duration::ZERO, |resume| resume.saturating_duration_since(Instant::now()));
+        let (listening, timeout_ms) = if backoff.is_zero() {
+            accept_resume = None;
+            (listener.as_raw_fd(), -1)
+        } else {
+            // `poll` skips a negative descriptor.
+            (-1, backoff.as_millis() as c_int + 1)
+        };
+        fds.clear();
+        fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+        fds.push(PollFd::new(listening, POLLIN));
+        fds.extend(conns.iter().map(|c| PollFd::new(c.stream.as_raw_fd(), c.interest())));
+        wait(&mut fds, timeout_ms);
+
+        let [woken, incoming, sockets @ ..] = fds.as_slice() else {
+            continue;
+        };
+        if woken.readable() {
+            // Before `poll_into` below, so a tick that ends after that look
+            // leaves its byte for the next wait. Bytes this read leaves
+            // behind are reported again.
+            let _ = (&*wake_rx).read(&mut buf);
+        }
+        if incoming.readable() && accept(listener, &mut conns).is_err() {
+            accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
+        }
+        // Connections accepted just now have no entry yet; they are
+        // polled from the next pass on.
+        for (conn, fd) in conns.iter_mut().zip(sockets) {
+            if fd.readable() {
+                service.read_conn(conn, &mut buf);
+            }
         }
         service.pool.poll_into(&mut decisions);
         service.route(&mut decisions, &mut conns);
         conns.retain_mut(|conn| service.write_conn(conn));
-        // Only a read that filled `buf` may have left bytes waiting; any
-        // other pass ends in a wait rather than an empty pass.
-        if more {
-            continue;
-        }
-        if service.pool.in_flight() > 0 {
-            // Returns as soon as every in-flight decision is ready.
-            service.pool.drain_deadline(Instant::now() + IDLE_WAIT, &mut decisions);
-        } else {
-            std::thread::sleep(IDLE_WAIT);
-        }
     }
 
     // Shutdown: drain in-flight compute so the counters stay truthful,
@@ -295,8 +422,9 @@ fn event_loop(listener: &TcpListener, mut service: Service, shutdown: &AtomicBoo
     service.counters.active.store(0, Ordering::Release);
 }
 
-/// Accepts every pending connection.
-fn accept(listener: &TcpListener, conns: &mut Vec<Conn>) {
+/// Accepts every pending connection. Fails only if `accept` fails for
+/// want of a resource, which leaves the connection queued.
+fn accept(listener: &TcpListener, conns: &mut Vec<Conn>) -> std::io::Result<()> {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -314,30 +442,39 @@ fn accept(listener: &TcpListener, conns: &mut Vec<Conn>) {
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            // WouldBlock, or a transient failure retried next pass.
-            Err(_) => return,
+            Err(e) if exhausted(&e) => return Err(e),
+            // The queue is empty, or `accept` dequeued a connection that
+            // failed (ECONNABORTED, or a pending network error such as
+            // EPROTO, which accept(2) says to retry like EAGAIN). The
+            // level-triggered listener brings the loop back at once if
+            // more connections wait.
+            Err(_) => return Ok(()),
         }
     }
 }
 
+/// Whether `accept` failed for want of a resource: out of descriptors
+/// (EMFILE, ENFILE) or memory (ENOBUFS, ENOMEM).
+fn exhausted(e: &std::io::Error) -> bool {
+    e.kind() == ErrorKind::OutOfMemory
+        || matches!(e.raw_os_error(), Some(EMFILE | ENFILE | ENOBUFS))
+}
+
 impl Service {
-    /// Reads once from `conn` and acts on every complete message. Returns
-    /// whether the read filled `buf`, so the socket may hold more now.
-    /// Per frame this is the codec's decoder and [`Service::submit`],
-    /// both hot-path audited; the other messages open or end a session.
-    fn read_conn(&mut self, conn: &mut Conn, buf: &mut [u8]) -> bool {
+    /// Reads once from `conn` and acts on every complete message. Per
+    /// frame this is the codec's decoder and [`Service::submit`], both
+    /// hot-path audited; the other messages open or end a session.
+    fn read_conn(&mut self, conn: &mut Conn, buf: &mut [u8]) {
         if !conn.reading() {
-            return false;
+            return;
         }
         let n = match conn.stream.read(buf) {
             Ok(n) if n > 0 => n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
-                return false
-            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => return,
             // EOF or a failed socket: the peer is gone.
             _ => {
                 self.retire(conn, ConnState::Closed);
-                return false;
+                return;
             }
         };
         conn.dec.extend(buf.get(..n).unwrap_or_default());
@@ -352,7 +489,6 @@ impl Service {
                 self.fail(conn, code);
             }
         }
-        n == buf.len()
     }
 
     /// HELLO and GOODBYE, or a message the client must not send.
@@ -486,5 +622,26 @@ impl Service {
     fn set_active(&mut self, active: usize) {
         self.active = active;
         self.counters.active.store(active, Ordering::Release);
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+
+    /// Only running out of descriptors or memory takes the listener out of
+    /// the wait; a failed connection, which `accept` has already dequeued,
+    /// is retried at once.
+    #[test]
+    fn accept_backs_off_only_when_out_of_resources() {
+        let os = std::io::Error::from_raw_os_error;
+        // ENOMEM is 12.
+        for errno in [EMFILE, ENFILE, ENOBUFS, 12] {
+            assert!(exhausted(&os(errno)), "errno {errno} should back off");
+        }
+        // EPERM, EPROTO, ENETDOWN, ENETUNREACH, ECONNABORTED, EHOSTUNREACH.
+        for errno in [1, 71, 100, 101, 103, 113] {
+            assert!(!exhausted(&os(errno)), "errno {errno} should be retried");
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Resource shape of the ingress service: the event loop and the pool's
-//! shard workers are its only threads at any connection count, and a
-//! finished session leaves no memory behind.
+//! shard workers are its only threads at any connection count, a finished
+//! session leaves no memory behind, an idle server uses no CPU, and
+//! dropping it wakes the loop's wait.
 //!
-//! The test reads process-wide `/proc/self/status` counters, so it must
-//! stay the only test in this file: a test running beside it would add
-//! its own threads and memory.
+//! The test reads process-wide `/proc/self` counters, so it must stay the
+//! only test in this file: a test running beside it would add its own
+//! threads, memory and CPU time.
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
@@ -43,8 +44,24 @@ fn threads_settling_at(want: u64) -> u64 {
     }
 }
 
+/// CPU time every thread of this process has run so far: the sum of the
+/// first field of `/proc/self/task/*/schedstat`, in nanoseconds.
+fn cpu_ns() -> u64 {
+    let per_thread: Vec<u64> = std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        // A thread that exits meanwhile leaves nothing to read.
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("schedstat")).ok())
+        .map(|line| line.split_whitespace().next().and_then(|ns| ns.parse().ok()))
+        .map(|ns| ns.expect("schedstat starts with the thread's CPU time in ns"))
+        .collect();
+    assert!(!per_thread.is_empty(), "no /proc/self/task/*/schedstat (kernel without schedstats)");
+    per_thread.iter().sum()
+}
+
 fn open(addr: &str) -> Connection {
     let mut conn = Connection::connect(addr).expect("connect");
+    // A lost wakeup in the event loop fails a receive instead of hanging.
+    conn.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
     conn.send_hello(false).expect("hello");
     assert!(matches!(conn.recv().expect("welcome"), ServerMsg::Welcome { .. }));
     conn
@@ -97,4 +114,24 @@ fn workers_plus_one_threads_and_flat_memory_across_sessions() {
     }
     let grown_kb = status("VmRSS").saturating_sub(rss_kb);
     assert!(grown_kb < 2048, "300 sequential sessions grew VmRSS by {grown_kb} kB");
+
+    // Two admitted sessions that send nothing: the loop and the shard
+    // workers must all be blocked, not polling on a timer.
+    let idle: Vec<Connection> = (0..2).map(|_| open(&addr)).collect();
+    let cpu0 = cpu_ns();
+    std::thread::sleep(Duration::from_secs(1));
+    let idle_ms = (cpu_ns() - cpu0) as f64 / 1e6;
+    assert!(idle_ms < 10.0, "an idle server with 2 sessions used {idle_ms:.2} ms of CPU in 1 s");
+
+    // Dropping the server must wake the loop's wait. Drop it on another
+    // thread, so a loop that never wakes fails the test instead of hanging.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(server);
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("dropping the server with 2 idle sessions took over 1 s");
+    drop(idle);
 }

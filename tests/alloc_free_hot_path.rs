@@ -336,6 +336,8 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
     )
     .expect("bind ingress server");
     let mut conn = Connection::connect(server.local_addr()).expect("connect");
+    // A lost wakeup in the event loop fails a receive instead of hanging.
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("read timeout");
     conn.send_hello(false).expect("hello");
     assert!(matches!(conn.recv().expect("welcome"), ServerMsg::Welcome { .. }));
     let round_trip = |t: usize, conn: &mut Connection| {
