@@ -10,10 +10,11 @@
 //! scratch buffers). The `_alloc` rows are the pre-refactor baseline the
 //! acceptance criterion compares against. The engine runs its stages
 //! through `step_batch`'s tick (`step` is a one-job tick), not through
-//! `score_window_scratch`; `engine_step_frame` times that whole step.
+//! `score_window_scratch`; `engine_step_frame` times that whole step on the
+//! f32 tier and `engine_step_frame_int8` on the quantized one.
 
 use bench::{jigsaws_dataset, suturing_monitor_cfg, Scale};
-use context_monitor::{ContextMode, InferenceEngine, TrainedPipeline};
+use context_monitor::{ContextMode, InferenceEngine, Precision, TrainedPipeline};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gestures::Task;
 use nn::Mat;
@@ -26,6 +27,7 @@ fn bench_inference(c: &mut Criterion) {
     cfg.train_stride = 6;
     let idx: Vec<usize> = (0..ds.len()).collect();
     let mut pipeline = TrainedPipeline::train(&ds, &idx, &cfg);
+    pipeline.quantize(&ds, &idx).expect("the pipeline's classifiers quantize");
 
     let demo = &ds.demos[0];
     // Stage-specific windows: the gesture stage uses its own (wider)
@@ -88,16 +90,27 @@ fn bench_inference(c: &mut Criterion) {
     });
 
     // Streaming engine: cost of one frame step end-to-end (feature
-    // extraction, normalization, windowing, both stages, smoothing).
-    let mut engine = InferenceEngine::new(&pipeline, ContextMode::Predicted);
+    // extraction, normalization, windowing, both stages, smoothing) on
+    // each tier, stepping through the demo's consecutive frames (wrapping
+    // at its end) so the windows hold a real stream.
     let warm = cfg.window.width.max(cfg.gesture_window);
-    for frame in demo.frames.iter().take(warm) {
-        let _ = engine.step(&pipeline, frame);
+    for (name, precision) in
+        [("engine_step_frame", Precision::F32), ("engine_step_frame_int8", Precision::Int8)]
+    {
+        let mut engine =
+            InferenceEngine::with_precision(&pipeline, ContextMode::Predicted, precision);
+        for frame in demo.frames.iter().take(warm) {
+            let _ = engine.step(&pipeline, frame);
+        }
+        let mut next = warm;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let frame = &demo.frames[next % demo.len()];
+                next += 1;
+                black_box(engine.step(&pipeline, black_box(frame)))
+            })
+        });
     }
-    let frame = demo.frames[warm].clone();
-    c.bench_function("engine_step_frame", |b| {
-        b.iter(|| black_box(engine.step(&pipeline, black_box(&frame))))
-    });
 }
 
 criterion_group! {

@@ -18,7 +18,8 @@
 //!    service still serves bit-exact decisions.
 //!
 //! The default mode sweeps offered load, locates the throughput knee,
-//! and writes `BENCH_ingress.json` at the repo root.
+//! and writes `BENCH_ingress.json` (f32 tier) or `BENCH_ingress_int8.json`
+//! (`MONITOR_PRECISION=int8`) at the repo root.
 
 use bench::{header, jigsaws_dataset, suturing_monitor_cfg, Scale};
 use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
@@ -335,7 +336,8 @@ fn main() {
 }
 
 /// Hand-formatted JSON summary (no serde in the bench crate) written to
-/// the repo root next to the other `BENCH_*.json` files.
+/// the repo root next to the other `BENCH_*.json` files, one file per tier
+/// so a sweep on one tier never overwrites the other's.
 #[allow(clippy::too_many_arguments)]
 fn write_summary(
     rows: &[Row],
@@ -385,7 +387,10 @@ fn write_summary(
         shed_demo.deadline_misses,
     ));
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingress.json");
+    let path = match precision {
+        Precision::F32 => concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingress.json"),
+        Precision::Int8 => concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingress_int8.json"),
+    };
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote ingress service summary to {path}"),
         Err(e) => eprintln!("\ncould not write {path}: {e}"),

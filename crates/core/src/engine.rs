@@ -40,6 +40,23 @@ fn quantized(pipeline: &TrainedPipeline) -> &QuantizedPipeline {
     pipeline.quantized.as_ref().expect("Precision::Int8 requires TrainedPipeline::quantize()")
 }
 
+/// Width of a stage-1 window row: stage 1's leading LSTM projects each
+/// frame's gesture features once (`x·W₁`, `4·hidden` wide, on either tier),
+/// and the engine's stage-1 window holds those projected rows.
+///
+/// # Panics
+///
+/// Panics when stage 1 does not start with an LSTM. Engines and pools call
+/// this when they are built, so the tick never meets such a pipeline.
+pub(crate) fn stage1_width(pipeline: &TrainedPipeline) -> usize {
+    let width = pipeline.gesture_net.projected_width();
+    assert!(
+        width.is_some(),
+        "stage 1 must start with an LSTM: the stage-1 window holds its projected input rows"
+    );
+    width.unwrap_or_default()
+}
+
 /// Typed error for the streaming decision path: a misconfigured caller gets
 /// a value it can handle instead of a panic that would take down a serving
 /// process hosting other sessions.
@@ -220,7 +237,9 @@ pub struct InferenceEngine {
     precision: Precision,
     /// Error-stage sliding window over normalized features.
     window: SlidingWindow,
-    /// Gesture-stage sliding window over normalized features.
+    /// Gesture-stage sliding window over the projected rows of stage 1's
+    /// first layer ([`stage1_width`]): each frame is projected once, on the
+    /// tick it arrives.
     gesture_window: SlidingWindow,
     /// Causal smoothing over raw stage-1 predictions.
     filter: MajorityFilter,
@@ -250,8 +269,9 @@ impl InferenceEngine {
     ///
     /// Panics when asked for [`Precision::Int8`] before
     /// [`TrainedPipeline::quantize`](crate::pipeline::TrainedPipeline::quantize)
-    /// populated the pipeline's quantized twin — a misconfiguration that
-    /// must fail at session setup, not on the first warm frame.
+    /// populated the pipeline's quantized twin, or when stage 1 does not
+    /// start with an LSTM — misconfigurations that must fail at session
+    /// setup, not on the first warm frame.
     pub fn with_precision(
         pipeline: &TrainedPipeline,
         mode: ContextMode,
@@ -266,7 +286,7 @@ impl InferenceEngine {
             mode,
             precision,
             window: SlidingWindow::new(cfg.window.width, pipeline.in_dim),
-            gesture_window: SlidingWindow::new(cfg.gesture_window, pipeline.gesture_in_dim),
+            gesture_window: SlidingWindow::new(cfg.gesture_window, stage1_width(pipeline)),
             filter: MajorityFilter::new(cfg.gesture_smoothing.max(1), NUM_GESTURES),
             gesture: None,
             frames_seen: 0,
@@ -388,8 +408,9 @@ pub struct BatchJob {
     pub context: Option<Gesture>,
 }
 
-/// Reusable buffers for a tick: stacked window matrices, batched logits,
-/// network scratch for both stages, the softmax, and tick bookkeeping. A
+/// Reusable buffers for a tick: the tick's new stage-1 frames and their
+/// projections, stacked window matrices, batched logits, network scratch
+/// for both stages, the softmax, and tick bookkeeping. A
 /// shard worker keeps one for [`step_batch`], and every engine keeps one for
 /// [`InferenceEngine::step`]. Everything grows to a high-water mark and is
 /// reused. `Default` is the empty placeholder `step` leaves in the engine
@@ -397,6 +418,10 @@ pub struct BatchJob {
 /// scratch a tick needs.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
+    /// This tick's normalized stage-1 frames, one row per `gnew` engine.
+    gframes: Mat,
+    /// Their projection through stage 1's first layer.
+    gproj: Mat,
     gwindows: Mat,
     glogits: Mat,
     gscratch: NetworkScratch,
@@ -406,6 +431,8 @@ pub struct BatchScratch {
     /// Int8-tier scratch (both stages, sequential use). Empty on f32 ticks.
     qscratch: QuantScratch,
     probs: [f32; 2],
+    /// Engines that got a stage-1 frame this tick.
+    gnew: Vec<usize>,
     /// Engines whose gesture window is warm this tick.
     gmembers: Vec<usize>,
     /// `(job, engine)` for each job whose error window is warm.
@@ -483,6 +510,8 @@ fn tick<'f>(
     scratch: &mut BatchScratch,
 ) {
     let BatchScratch {
+        gframes,
+        gproj,
         gwindows,
         glogits,
         gscratch,
@@ -491,6 +520,7 @@ fn tick<'f>(
         escratch,
         qscratch,
         probs,
+        gnew,
         gmembers,
         emembers,
         pending,
@@ -499,6 +529,7 @@ fn tick<'f>(
     } = scratch;
     seen.clear();
     seen.resize(engines.len(), false);
+    gnew.clear();
     gmembers.clear();
     emembers.clear();
     pending.clear();
@@ -526,9 +557,7 @@ fn tick<'f>(
         } else {
             frame.to_feature_vec_into(&pipeline.config.gesture_features, &mut e.gfeat);
             pipeline.gesture_normalizer.apply_frame_inplace(&mut e.gfeat);
-            if e.gesture_window.push(&e.gfeat).is_some() {
-                gmembers.push(engine);
-            }
+            gnew.push(engine);
         }
         frame.to_feature_vec_into(&pipeline.config.features, &mut e.feat);
         pipeline.normalizer.apply_frame_inplace(&mut e.feat);
@@ -539,11 +568,33 @@ fn tick<'f>(
     }
     let Some(precision) = precision else { return };
 
-    // Phase 2: one batched stage-1 forward pass for every warm gesture
-    // window, then the per-session smoothing filters.
+    // Phase 2: project this tick's new stage-1 frames through the first
+    // layer's input weights in one batched call (row-independent, so each
+    // row equals its row in a whole-window projection), push them into the
+    // stage-1 windows, then run one batched stage-1 pass from the projected
+    // windows for every warm one, then the per-session smoothing filters.
+    if !gnew.is_empty() {
+        gframes.resize(gnew.len(), pipeline.gesture_in_dim);
+        for (b, &e) in gnew.iter().enumerate() {
+            // lint: allow(panic, reason = "gnew holds engine indices that passed the bound assert")
+            gframes.row_mut(b).copy_from_slice(&engines[e].gfeat);
+        }
+        match precision {
+            Precision::F32 => pipeline.gesture_net.project_rows_into(gframes, gproj, gscratch),
+            Precision::Int8 => {
+                quantized(pipeline).gesture_net.project_rows_into(gframes, gproj, qscratch)
+            }
+        }
+        for (b, &e) in gnew.iter().enumerate() {
+            // lint: allow(panic, reason = "gnew holds engine indices that passed the bound assert")
+            if engines[e].gesture_window.push(gproj.row(b)).is_some() {
+                gmembers.push(e);
+            }
+        }
+    }
     if !gmembers.is_empty() {
         let (n, gw) = (gmembers.len(), pipeline.config.gesture_window);
-        gwindows.resize(n * gw, pipeline.gesture_in_dim);
+        gwindows.resize(n * gw, gproj.cols());
         for (b, &e) in gmembers.iter().enumerate() {
             // lint: allow(panic, reason = "gmembers holds engine indices that passed the bound assert")
             let copied = engines[e].gesture_window.copy_current_into(gwindows, b * gw);
@@ -551,11 +602,11 @@ fn tick<'f>(
         }
         match precision {
             Precision::F32 => {
-                pipeline.gesture_net.predict_batch_into(gwindows, n, glogits, gscratch)
+                pipeline.gesture_net.predict_projected_batch_into(gwindows, n, glogits, gscratch)
             }
-            Precision::Int8 => {
-                quantized(pipeline).gesture_net.predict_batch_into(gwindows, n, glogits, qscratch)
-            }
+            Precision::Int8 => quantized(pipeline)
+                .gesture_net
+                .predict_projected_batch_into(gwindows, n, glogits, qscratch),
         }
         debug_assert_eq!(glogits.cols(), NUM_GESTURES);
         for (b, &e) in gmembers.iter().enumerate() {
@@ -840,16 +891,20 @@ mod tests {
 
     /// Independent per-frame reference for the engine, sharing none of its
     /// inference code: windows are row slices of the whole demo's
-    /// normalized feature matrix, both stages run the training-side
-    /// `Network::predict` (`forward`, not `infer_batch_into`), smoothing is
-    /// the `mode_of` recount, routing reads the classifier maps directly
-    /// (not `error_route`), and the score is the allocating `softmax`.
-    /// Counts the context-routed windows that a dedicated classifier
-    /// (`routes[0]`) and the global fallback (`routes[1]`) scored.
+    /// normalized feature matrix, so stage 1 sees raw feature windows, not
+    /// the engine's projected rows. On f32 both stages run the
+    /// training-side `Network::predict` (`forward`, not `infer_batch_into`);
+    /// on int8 they run `QuantizedNetwork::predict_scratch` on the whole
+    /// window. Smoothing is the `mode_of` recount, routing reads the
+    /// tier's classifier maps directly (not `error_route`), and the score
+    /// is the allocating `softmax`. Counts the context-routed windows that
+    /// a dedicated classifier (`routes[0]`) and the global fallback
+    /// (`routes[1]`) scored.
     fn oracle(
         pipeline: &mut TrainedPipeline,
         demo: &kinematics::Demonstration,
         mode: ContextMode,
+        precision: Precision,
         routes: &mut [usize; 2],
     ) -> Vec<Bits> {
         let cfg = pipeline.config.clone();
@@ -863,37 +918,65 @@ mod tests {
                 ContextMode::Perfect => Some(demo.gestures[t]),
                 _ if t + 1 < gw => None,
                 _ => {
-                    let logits =
-                        pipeline.gesture_net.predict(&gfeats.slice_rows(t + 1 - gw, t + 1));
+                    let window = gfeats.slice_rows(t + 1 - gw, t + 1);
+                    let logits = match (precision, pipeline.quantized.as_ref()) {
+                        (Precision::Int8, Some(q)) => predict_q(&q.gesture_net, &window),
+                        _ => pipeline.gesture_net.predict(&window),
+                    };
                     raw.push(first_max(logits.row(0)));
                     Gesture::from_index(mode_of(&raw[raw.len().saturating_sub(k)..]))
                 }
             };
-            // Outer `None`: not scored yet. Inner `None`: no classifier.
-            let net = match (mode, gesture) {
+            // Outer `None`: not scored yet. Inner `None`: the global
+            // classifier, `Some(g)`: gesture g's dedicated one.
+            let route = match (mode, gesture) {
                 _ if t + 1 < w => None,
-                (ContextMode::NoContext, _) => Some(pipeline.global_error_net.as_mut()),
-                (_, Some(g)) => Some(match pipeline.error_nets.get_mut(&g.index()) {
-                    Some(net) => {
-                        routes[0] += 1;
-                        Some(net)
-                    }
-                    None => {
-                        routes[1] += 1;
-                        pipeline.global_error_net.as_mut()
-                    }
-                }),
+                (ContextMode::NoContext, _) => Some(None),
+                (_, Some(g)) if dedicated(pipeline, precision, g.index()) => {
+                    routes[0] += 1;
+                    Some(Some(g.index()))
+                }
+                (_, Some(_)) => {
+                    routes[1] += 1;
+                    Some(None)
+                }
                 (_, None) => None,
             };
-            let score = net.map(|net| match net {
-                Some(net) => {
-                    nn::loss::softmax(net.predict(&feats.slice_rows(t + 1 - w, t + 1)).row(0))[1]
-                }
-                None => 0.0,
+            let score = route.map(|dedicated| {
+                let window = feats.slice_rows(t + 1 - w, t + 1);
+                let logits = match (precision, pipeline.quantized.as_ref()) {
+                    (Precision::Int8, Some(q)) => match dedicated {
+                        Some(g) => q.error_nets.get(&g),
+                        None => q.global_error_net.as_ref(),
+                    }
+                    .map(|net| predict_q(net, &window)),
+                    _ => match dedicated {
+                        Some(g) => pipeline.error_nets.get_mut(&g),
+                        None => pipeline.global_error_net.as_mut(),
+                    }
+                    .map(|net| net.predict(&window)),
+                };
+                // No classifier at all: the score is 0.
+                logits.map_or(0.0, |l| nn::loss::softmax(l.row(0))[1])
             });
             out.push((gesture, score.map(f32::to_bits)));
         }
         out
+    }
+
+    /// One whole window through a quantized network, on fresh scratch.
+    fn predict_q(net: &nn::QuantizedNetwork, window: &Mat) -> Mat {
+        let mut logits = Mat::zeros(0, 0);
+        net.predict_scratch(window, &mut logits, &mut net.make_scratch());
+        logits
+    }
+
+    /// Whether gesture `g` has a dedicated classifier on `precision`'s tier.
+    fn dedicated(pipeline: &TrainedPipeline, precision: Precision, g: usize) -> bool {
+        match (precision, pipeline.quantized.as_ref()) {
+            (Precision::Int8, Some(q)) => q.error_nets.contains_key(&g),
+            _ => pipeline.error_nets.contains_key(&g),
+        }
     }
 
     /// Steps one engine per demo through every frame: alone with
@@ -904,12 +987,13 @@ mod tests {
         pipeline: &TrainedPipeline,
         demos: &[&kinematics::Demonstration],
         mode: ContextMode,
+        precision: Precision,
     ) -> (Vec<Vec<Bits>>, Vec<Vec<Bits>>) {
         let bits = |s: &EngineStep| (s.gesture, s.unsafe_score.map(f32::to_bits));
         let alone = demos
             .iter()
             .map(|d| {
-                let mut engine = InferenceEngine::new(pipeline, mode);
+                let mut engine = InferenceEngine::with_precision(pipeline, mode, precision);
                 let steps = d.frames.iter().zip(&d.gestures).map(|(f, &g)| match mode {
                     ContextMode::Perfect => engine.step_with_context(pipeline, f, g),
                     _ => engine.step(pipeline, f).expect("only Perfect mode needs context"),
@@ -917,8 +1001,10 @@ mod tests {
                 steps.map(|s| bits(&s)).collect()
             })
             .collect();
-        let mut engines: Vec<_> =
-            demos.iter().map(|_| InferenceEngine::new(pipeline, mode)).collect();
+        let mut engines: Vec<_> = demos
+            .iter()
+            .map(|_| InferenceEngine::with_precision(pipeline, mode, precision))
+            .collect();
         let mut scratch = BatchScratch::new(pipeline);
         let mut steps = Vec::new();
         let mut batched = vec![Vec::new(); demos.len()];
@@ -945,6 +1031,17 @@ mod tests {
     /// both the dedicated and the global-fallback route exercised.
     #[test]
     fn engine_matches_independent_oracle_bit_for_bit() {
+        oracle_agreement(Precision::F32);
+    }
+
+    /// The same on the int8 tier: the engine's projected stage-1 window
+    /// against whole raw windows through `QuantizedNetwork::predict_scratch`.
+    #[test]
+    fn int8_engine_matches_independent_oracle_bit_for_bit() {
+        oracle_agreement(Precision::Int8);
+    }
+
+    fn oracle_agreement(precision: Precision) {
         let ds = dataset();
         let demos = [&ds.demos[0], &ds.demos[1]];
         let mut routes = [0usize; 2];
@@ -953,16 +1050,20 @@ mod tests {
         for (seed, stage2) in [(5, conv), (6, lstm), (7, conv), (8, lstm)] {
             let cfg = MonitorConfig::fast(FeatureSet::CRG).with_seed(seed).with_error_model(stage2);
             let mut pipeline = train(&ds, cfg, 1, 8);
+            if precision == Precision::Int8 {
+                pipeline.quantize(&ds, &[2, 3]).expect("quantize");
+            }
             for mode in [ContextMode::Predicted, ContextMode::Perfect, ContextMode::NoContext] {
-                let (alone, batched) = engine_runs(&pipeline, &demos, mode);
+                let (alone, batched) = engine_runs(&pipeline, &demos, mode, precision);
                 for (d, demo) in demos.iter().enumerate() {
-                    let expected = oracle(&mut pipeline, demo, mode, &mut routes);
+                    let expected = oracle(&mut pipeline, demo, mode, precision, &mut routes);
                     for (path, got) in [("step", &alone[d]), ("step_batch", &batched[d])] {
                         assert_eq!(got.len(), expected.len());
                         for (t, (g, e)) in got.iter().zip(&expected).enumerate() {
                             assert_eq!(
                                 g, e,
-                                "{stage2} seed {seed} {mode:?} demo {d} frame {t} ({path})"
+                                "{precision:?} {stage2} seed {seed} {mode:?} demo {d} frame {t} \
+                                 ({path})"
                             );
                         }
                     }

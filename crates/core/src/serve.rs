@@ -37,7 +37,9 @@
 //! parallel-execution path.
 
 use crate::config::Precision;
-use crate::engine::{step_batch, BatchJob, BatchScratch, EngineError, EngineStep, InferenceEngine};
+use crate::engine::{
+    stage1_width, step_batch, BatchJob, BatchScratch, EngineError, EngineStep, InferenceEngine,
+};
 use crate::pipeline::{ContextMode, TrainedPipeline};
 use crate::report::{LatencyStats, PoolStats};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -313,17 +315,19 @@ impl ShardedMonitorPool {
     ///
     /// # Panics
     ///
-    /// Panics if the threshold is not within `(0, 1)`, or if
+    /// Panics if the threshold is not within `(0, 1)`, if
     /// [`Precision::Int8`] is requested on a pipeline whose quantized twin
-    /// was never built ([`TrainedPipeline::quantize`]) — the
-    /// misconfiguration must fail at pool construction, not inside a shard
-    /// worker.
+    /// was never built ([`TrainedPipeline::quantize`]), or if stage 1 does
+    /// not start with an LSTM — the misconfiguration must fail at pool
+    /// construction, not inside a shard worker.
     pub fn new(pipeline: Arc<TrainedPipeline>, mode: ContextMode, config: ServeConfig) -> Self {
         assert!(config.threshold > 0.0 && config.threshold < 1.0, "threshold must be in (0,1)");
         assert!(
             config.precision == Precision::F32 || pipeline.quantized.is_some(),
             "Precision::Int8 requires TrainedPipeline::quantize() before pool construction"
         );
+        // Rejects a stage 1 whose projected rows the engines cannot window.
+        stage1_width(&pipeline);
         let workers = config.workers.max(1);
         let (egress_tx, egress_rx) = unbounded();
         let wake = WakeHook::default();

@@ -103,6 +103,92 @@ impl Lstm {
     fn sigmoid(x: f32) -> f32 {
         crate::layers::activation::sigmoid(x)
     }
+
+    /// The row-independent half of inference: the input projection
+    /// `xw = x·W` (`(rows, 4·hidden)`) of every row of `x`. Each output is
+    /// one ascending-k chain over its own input row, so rows projected a few
+    /// at a time equal the rows of one whole-sequence product, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `in_dim` wide.
+    pub(crate) fn project_into(&self, x: &Mat, xw: &mut Mat, scratch: &mut LayerScratch) {
+        assert_eq!(
+            x.cols(),
+            self.w.value.rows(),
+            "Lstm: expected {} input features, got {}",
+            self.w.value.rows(),
+            x.cols()
+        );
+        kernels::matmul_into(x, &self.w.value, xw, &mut scratch.gemm);
+    }
+
+    /// The recurrent half of inference over `batch` equally long sequences
+    /// of projected rows `xw` (from [`Lstm::project_into`]), stacked
+    /// row-wise. `project_into` followed by `recur_into` is
+    /// [`SeqLayer::infer_batch_into`], bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xw` is not `4·hidden` wide or `batch` does not divide its
+    /// rows into non-empty sequences.
+    pub(crate) fn recur_into(
+        &self,
+        xw: &Mat,
+        batch: usize,
+        out: &mut Mat,
+        scratch: &mut LayerScratch,
+    ) {
+        let h = self.hidden;
+        assert!(batch > 0 && xw.rows().is_multiple_of(batch), "Lstm: batch does not divide rows");
+        let t_len = xw.rows() / batch;
+        assert!(t_len > 0, "Lstm: empty input sequence");
+        assert_eq!(xw.cols(), 4 * h, "Lstm: projected width mismatch");
+        let hu = &mut scratch.v1;
+        let h_state = &mut scratch.v2;
+        let c_state = &mut scratch.v3;
+        hu.resize(4 * h, 0.0);
+        h_state.resize(h, 0.0);
+        c_state.resize(h, 0.0);
+        if self.return_sequences {
+            out.resize(batch * t_len, h);
+        } else {
+            out.resize(batch, h);
+        }
+
+        let u = &self.u.value;
+        let b_row = self.b.value.row(0);
+        for seq in 0..batch {
+            h_state.fill(0.0);
+            c_state.fill(0.0);
+            for t in 0..t_len {
+                // hu = h_{t-1} * U through the same skip-zero kernel as
+                // `forward`, so results match it bit-for-bit.
+                kernels::gemm_ab(1, h, 4 * h, h_state, u.as_slice(), hu, &mut scratch.gemm);
+
+                let xw_row = xw.row(seq * t_len + t);
+                for k in 0..h {
+                    let zi = xw_row[k] + hu[k] + b_row[k];
+                    let zf = xw_row[h + k] + hu[h + k] + b_row[h + k];
+                    let zg = xw_row[2 * h + k] + hu[2 * h + k] + b_row[2 * h + k];
+                    let zo = xw_row[3 * h + k] + hu[3 * h + k] + b_row[3 * h + k];
+                    let i = Self::sigmoid(zi);
+                    let f = Self::sigmoid(zf);
+                    let g = zg.tanh();
+                    let o = Self::sigmoid(zo);
+                    let c_new = f * c_state[k] + i * g;
+                    c_state[k] = c_new;
+                    h_state[k] = o * c_new.tanh();
+                }
+                if self.return_sequences {
+                    out.row_mut(seq * t_len + t).copy_from_slice(h_state);
+                }
+            }
+            if !self.return_sequences {
+                out.row_mut(seq).copy_from_slice(h_state);
+            }
+        }
+    }
 }
 
 impl SeqLayer for Lstm {
@@ -196,68 +282,18 @@ impl SeqLayer for Lstm {
     }
 
     fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
-        let h = self.hidden;
-        assert!(batch > 0 && x.rows().is_multiple_of(batch), "Lstm: batch does not divide rows");
-        let t_len = x.rows() / batch;
-        assert!(t_len > 0, "Lstm: empty input sequence");
-        assert_eq!(
-            x.cols(),
-            self.w.value.rows(),
-            "Lstm: expected {} input features, got {}",
-            self.w.value.rows(),
-            x.cols()
-        );
-
         // The input projection of *every* sequence in one fused matmul
         // (the dominant cost); each row's dot product is independent of the
         // other rows, so per-sequence results stay bit-identical to the
-        // unbatched path. Only the cheap recurrence below runs per sequence.
-        let xw = &mut scratch.m;
-        kernels::matmul_into(x, &self.w.value, xw, &mut scratch.gemm); // (batch*T, 4H)
-        let hu = &mut scratch.v1;
-        let h_state = &mut scratch.v2;
-        let c_state = &mut scratch.v3;
-        hu.resize(4 * h, 0.0);
-        h_state.resize(h, 0.0);
-        c_state.resize(h, 0.0);
-        if self.return_sequences {
-            out.resize(batch * t_len, h);
-        } else {
-            out.resize(batch, h);
-        }
+        // unbatched path. Only the cheap recurrence runs per sequence.
+        let mut xw = std::mem::take(&mut scratch.m);
+        self.project_into(x, &mut xw, scratch); // (batch*T, 4H)
+        self.recur_into(&xw, batch, out, scratch);
+        scratch.m = xw;
+    }
 
-        let u = &self.u.value;
-        let b_row = self.b.value.row(0);
-        for seq in 0..batch {
-            h_state.fill(0.0);
-            c_state.fill(0.0);
-            for t in 0..t_len {
-                // hu = h_{t-1} * U through the same skip-zero kernel as
-                // `forward`, so results match it bit-for-bit.
-                kernels::gemm_ab(1, h, 4 * h, h_state, u.as_slice(), hu, &mut scratch.gemm);
-
-                let xw_row = xw.row(seq * t_len + t);
-                for k in 0..h {
-                    let zi = xw_row[k] + hu[k] + b_row[k];
-                    let zf = xw_row[h + k] + hu[h + k] + b_row[h + k];
-                    let zg = xw_row[2 * h + k] + hu[2 * h + k] + b_row[2 * h + k];
-                    let zo = xw_row[3 * h + k] + hu[3 * h + k] + b_row[3 * h + k];
-                    let i = Self::sigmoid(zi);
-                    let f = Self::sigmoid(zf);
-                    let g = zg.tanh();
-                    let o = Self::sigmoid(zo);
-                    let c_new = f * c_state[k] + i * g;
-                    c_state[k] = c_new;
-                    h_state[k] = o * c_new.tanh();
-                }
-                if self.return_sequences {
-                    out.row_mut(seq * t_len + t).copy_from_slice(h_state);
-                }
-            }
-            if !self.return_sequences {
-                out.row_mut(seq).copy_from_slice(h_state);
-            }
-        }
+    fn as_lstm(&self) -> Option<&Lstm> {
+        Some(self)
     }
 
     fn backward(&mut self, grad_out: &Mat) -> Mat {

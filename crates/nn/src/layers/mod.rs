@@ -95,6 +95,13 @@ pub trait SeqLayer: Send + Sync {
         self.infer_into(x, out, scratch);
     }
 
+    /// This layer as an [`lstm::Lstm`], whose inference splits into a
+    /// row-independent input projection and a recurrence; `None` for every
+    /// other layer kind.
+    fn as_lstm(&self) -> Option<&lstm::Lstm> {
+        None
+    }
+
     /// Propagates `grad_out` (d loss / d output) backwards, accumulating
     /// parameter gradients and returning d loss / d input.
     fn backward(&mut self, grad_out: &Mat) -> Mat;

@@ -1,5 +1,6 @@
 //! Network container: an ordered stack of layers with (de)serialization.
 
+use crate::layers::lstm::Lstm;
 use crate::layers::{build_layer, LayerScratch, LayerSpec, Mode, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
@@ -74,7 +75,7 @@ fn run_layers(
     out: &mut Mat,
     scratch: &mut NetworkScratch,
 ) {
-    run_layers_observed(layers, x, batch, out, scratch, &mut |_, _| {});
+    run_layers_observed(layers, x, batch, None, out, scratch, &mut |_, _| {});
 }
 
 /// [`run_layers`] with an observation hook: `observe(i, input)` fires with
@@ -82,11 +83,13 @@ fn run_layers(
 /// is how the quantized tier's activation calibration records per-layer
 /// input ranges ([`Network::predict_traced`]) without the network exposing
 /// layer internals; the computation itself is bit-identical to the
-/// unobserved path.
+/// unobserved path. With `projected`, `x` holds that leading LSTM's
+/// projected rows and layer 0 runs only its recurrence.
 fn run_layers_observed(
     layers: &[Box<dyn SeqLayer>],
     x: &Mat,
     batch: usize,
+    projected: Option<&Lstm>,
     out: &mut Mat,
     scratch: &mut NetworkScratch,
     observe: &mut dyn FnMut(usize, &Mat),
@@ -107,7 +110,10 @@ fn run_layers_observed(
         let ls = &mut scratch.layers[i];
         if i == 0 {
             observe(i, x);
-            layer.infer_batch_into(x, batch, &mut scratch.ping, ls);
+            match projected {
+                Some(lstm) => lstm.recur_into(x, batch, &mut scratch.ping, ls),
+                None => layer.infer_batch_into(x, batch, &mut scratch.ping, ls),
+            }
         } else if cur == 0 {
             observe(i, &scratch.ping);
             layer.infer_batch_into(&scratch.ping, batch, &mut scratch.pong, ls);
@@ -263,6 +269,65 @@ impl Network {
         run_layers(&self.layers, x, batch, out, scratch);
     }
 
+    /// The LSTM the network starts with, if any.
+    fn leading_lstm(&self) -> Option<&Lstm> {
+        self.layers.first().and_then(|l| l.as_lstm())
+    }
+
+    /// Width of the rows [`Network::project_rows_into`] writes:
+    /// `Some(4 · hidden)` when the network starts with an LSTM, `None`
+    /// otherwise.
+    pub fn projected_width(&self) -> Option<usize> {
+        self.leading_lstm().map(|l| 4 * l.hidden())
+    }
+
+    /// The row-independent part of the leading LSTM: each row of `x`
+    /// through its input weights (`x·W`, `(rows, 4·hidden)`). A caller that
+    /// slides a window over a stream can project each frame once, keep the
+    /// projected rows, and run [`Network::predict_projected_batch_into`]
+    /// on the window instead of re-projecting every row of it per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network does not start with an LSTM, or if `scratch`
+    /// was not made for this network.
+    pub fn project_rows_into(&self, x: &Mat, out: &mut Mat, scratch: &mut NetworkScratch) {
+        let lstm = self.leading_lstm();
+        assert!(lstm.is_some(), "project_rows_into: the network does not start with an LSTM");
+        assert_eq!(
+            scratch.layers.len(),
+            self.layers.len(),
+            "NetworkScratch layer count does not match the network"
+        );
+        if let (Some(lstm), Some(ls)) = (lstm, scratch.layers.first_mut()) {
+            lstm.project_into(x, out, ls);
+        }
+    }
+
+    /// [`Network::predict_batch_into`] over rows already projected by
+    /// [`Network::project_rows_into`]: the leading LSTM runs only its
+    /// recurrence, then the remaining layers run as usual. Equal, bit for
+    /// bit, to `predict_batch_into` on the unprojected input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network does not start with an LSTM, or as
+    /// `predict_batch_into` does.
+    pub fn predict_projected_batch_into(
+        &self,
+        xw: &Mat,
+        batch: usize,
+        out: &mut Mat,
+        scratch: &mut NetworkScratch,
+    ) {
+        let lstm = self.leading_lstm();
+        assert!(
+            lstm.is_some(),
+            "predict_projected_batch_into: the network does not start with an LSTM"
+        );
+        run_layers_observed(&self.layers, xw, batch, lstm, out, scratch, &mut |_, _| {});
+    }
+
     /// [`Network::predict_scratch`] plus an observation hook:
     /// `observe(i, input)` fires with layer `i`'s input activation right
     /// before that layer runs. Used by the quantized tier's activation
@@ -275,7 +340,7 @@ impl Network {
         scratch: &mut NetworkScratch,
         observe: &mut dyn FnMut(usize, &Mat),
     ) {
-        run_layers_observed(&self.layers, x, 1, out, scratch, observe);
+        run_layers_observed(&self.layers, x, 1, None, out, scratch, observe);
     }
 
     /// Copies all parameter values out (for early-stopping snapshots).
@@ -559,7 +624,9 @@ mod tests {
 
     /// Batched inference must be bit-identical, per sequence, to running
     /// each sequence alone — across every layer kind the workspace models
-    /// use (LSTM, Conv1d, pools, reductions, norm, activations, dense).
+    /// use (LSTM, Conv1d, pools, reductions, norm, activations, dense) —
+    /// and so must the projected path of LSTM-led networks, fed rows
+    /// projected one at a time.
     #[test]
     fn predict_batch_into_is_bit_exact_per_sequence() {
         let specs = vec![
@@ -618,17 +685,30 @@ mod tests {
             for (b, w) in windows.iter().enumerate() {
                 stacked.copy_rows_from(w, b * t);
             }
-            let mut out = Mat::zeros(0, 0);
-            net.predict_batch_into(&stacked, windows.len(), &mut out, &mut scratch);
-            let rows_per_seq = out.rows() / windows.len();
-            for (b, single) in singles.iter().enumerate() {
-                assert_eq!(single.rows(), rows_per_seq, "spec {si}: row count");
-                for r in 0..rows_per_seq {
-                    assert_eq!(
-                        single.row(r),
-                        out.row(b * rows_per_seq + r),
-                        "spec {si}, sequence {b}, row {r}"
-                    );
+            let mut outs = vec![Mat::zeros(0, 0)];
+            net.predict_batch_into(&stacked, windows.len(), &mut outs[0], &mut scratch);
+            if let Some(width) = net.projected_width() {
+                let (mut row, mut projected) =
+                    (Mat::zeros(0, 0), Mat::zeros(stacked.rows(), width));
+                for r in 0..stacked.rows() {
+                    net.project_rows_into(&stacked.slice_rows(r, r + 1), &mut row, &mut scratch);
+                    projected.row_mut(r).copy_from_slice(row.row(0));
+                }
+                let mut out = Mat::zeros(0, 0);
+                net.predict_projected_batch_into(&projected, windows.len(), &mut out, &mut scratch);
+                outs.push(out);
+            }
+            for (path, out) in outs.iter().enumerate() {
+                let rows_per_seq = out.rows() / windows.len();
+                for (b, single) in singles.iter().enumerate() {
+                    assert_eq!(single.rows(), rows_per_seq, "spec {si}: row count");
+                    for r in 0..rows_per_seq {
+                        assert_eq!(
+                            single.row(r),
+                            out.row(b * rows_per_seq + r),
+                            "spec {si}, path {path}, sequence {b}, row {r}"
+                        );
+                    }
                 }
             }
         }

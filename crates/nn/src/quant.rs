@@ -15,8 +15,8 @@
 //!   `max_abs`, and the scale is frozen into the [`QuantizedNetwork`].
 //! * **Requantization is deterministic**: `q = clamp(round_ties_even(x ·
 //!   inv_scale), -127, 127)` where `inv_scale` is the reciprocal computed
-//!   **once** at quantization time. Multiply and `round_ties_even` are
-//!   exactly-specified IEEE operations, so quantized outputs are
+//!   **once** at quantization time. Multiply, clamp and round-to-nearest-
+//!   even are exactly-specified IEEE operations, so quantized outputs are
 //!   bit-identical across runs, batch sizes, worker counts, and — because
 //!   the int8 GEMM is exact — across scalar/SIMD backends.
 //!
@@ -142,14 +142,25 @@ impl QuantizedMat {
 /// `clamp(round_ties_even(x · inv_scale), -127, 127)`.
 ///
 /// `inv_scale` is the reciprocal of the scale, computed once when the
-/// quantizer is built — multiplication by a frozen reciprocal plus
-/// `round_ties_even` are exactly-specified IEEE operations, which is what
-/// makes requantization reproducible bit-for-bit everywhere. Non-finite
-/// inputs saturate through the `as` cast (NaN to 0), never trap.
+/// quantizer is built — multiplication by a frozen reciprocal, the clamp
+/// and the rounding are exactly-specified IEEE operations, which is what
+/// makes requantization reproducible bit-for-bit everywhere.
+///
+/// The rounding is spelled as an add and a subtract of `1.5·2²³`: for
+/// `|v| ≤ 127` the sum lies in `[2²³, 2²⁴)`, where the f32 spacing is 1,
+/// so the add rounds `v` to an integer, ties to even (the default
+/// rounding mode; the constant is even), and the subtract is exact.
+/// Clamping first changes no result, since the clamp bounds are integers.
+/// Unlike `round_ties_even`, which is a libm call on the x86-64 baseline,
+/// this inlines and vectorizes. NaN passes the clamp and the `as` cast
+/// maps it to 0; ±∞ clamp to ±127 (pinned against `round_ties_even` by
+/// `quantize_rne_equals_round_ties_even`).
 #[inline]
 // lint: hot-path
 pub fn quantize_rne(x: f32, inv_scale: f32) -> i8 {
-    (x * inv_scale).round_ties_even().clamp(-127.0, 127.0) as i8
+    const ROUND: f32 = 12_582_912.0; // 1.5·2²³
+    let v = (x * inv_scale).clamp(-127.0, 127.0);
+    ((v + ROUND) - ROUND) as i8
 }
 
 /// A frozen per-tensor activation quantizer: the calibrated scale and its
@@ -205,7 +216,8 @@ struct QConv1d {
 /// input scale; the per-step recurrence `h·Uᵀ` uses the fixed `1/127`
 /// hidden scale (module docs). Gates and cell state stay f32 in the f32
 /// layer's operation order, with [`fast_tanh`]/[`fast_sigmoid`] as the
-/// nonlinearities.
+/// nonlinearities. The projection is row-independent, so it runs apart
+/// from the recurrence ([`QLstm::project`], [`QLstm::recur`]).
 #[derive(Debug, Clone)]
 struct QLstm {
     wq: QuantizedMat, // (4H, in)
@@ -393,6 +405,57 @@ impl QuantizedNetwork {
         self.predict_batch_into(x, 1, out, scratch);
     }
 
+    /// The LSTM the network starts with, if any.
+    fn leading_lstm(&self) -> Option<&QLstm> {
+        match self.layers.first() {
+            Some(QLayer::Lstm(l)) => Some(l),
+            _ => None,
+        }
+    }
+
+    /// The row-independent part of the leading LSTM: each row of `x`
+    /// through its quantized input weights, dequantized (`(rows, 4·hidden)`).
+    /// Each output row depends on its input row alone, so rows projected
+    /// one tick at a time equal the rows of a whole window projected at
+    /// once, bit for bit. [`QuantizedNetwork::predict_projected_batch_into`]
+    /// runs the rest of the network from such rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network does not start with an LSTM.
+    // lint: hot-path
+    pub fn project_rows_into(&self, x: &Mat, out: &mut Mat, scratch: &mut QuantScratch) {
+        let lstm = self.leading_lstm();
+        assert!(lstm.is_some(), "project_rows_into: the network does not start with an LSTM");
+        if let Some(lstm) = lstm {
+            lstm.project(x, out, &mut scratch.buf);
+        }
+    }
+
+    /// [`QuantizedNetwork::predict_batch_into`] over rows already projected
+    /// by [`QuantizedNetwork::project_rows_into`]: the leading LSTM runs
+    /// only its recurrence, then the remaining layers run as usual. Equal,
+    /// bit for bit, to `predict_batch_into` on the unprojected input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network does not start with an LSTM, or as
+    /// `predict_batch_into` does.
+    // lint: hot-path
+    pub fn predict_projected_batch_into(
+        &self,
+        xw: &Mat,
+        batch: usize,
+        out: &mut Mat,
+        scratch: &mut QuantScratch,
+    ) {
+        assert!(
+            self.leading_lstm().is_some(),
+            "predict_projected_batch_into: the network does not start with an LSTM"
+        );
+        self.infer_layers(xw, batch, true, out, scratch);
+    }
+
     /// Cross-sequence micro-batched quantized inference, mirroring
     /// [`Network::predict_batch_into`]'s row conventions: `x` holds `batch`
     /// equally shaped sequences stacked row-wise. Each sequence's block is
@@ -408,6 +471,21 @@ impl QuantizedNetwork {
         out: &mut Mat,
         scratch: &mut QuantScratch,
     ) {
+        self.infer_layers(x, batch, false, out, scratch);
+    }
+
+    /// The forward pass behind both batched entry points. With `projected`,
+    /// `x` holds the leading LSTM's projected rows and that layer runs only
+    /// its recurrence.
+    // lint: hot-path
+    fn infer_layers(
+        &self,
+        x: &Mat,
+        batch: usize,
+        projected: bool,
+        out: &mut Mat,
+        scratch: &mut QuantScratch,
+    ) {
         assert!(batch > 0, "batch must be positive");
         assert_eq!(x.rows() % batch, 0, "batch does not divide input rows");
         if self.layers.is_empty() {
@@ -418,7 +496,10 @@ impl QuantizedNetwork {
         let mut cur = 0usize;
         for (i, layer) in self.layers.iter().enumerate() {
             if i == 0 {
-                layer.infer_batch(x, batch, ping, buf);
+                match layer {
+                    QLayer::Lstm(l) if projected => l.recur(x, batch, ping, buf),
+                    _ => layer.infer_batch(x, batch, ping, buf),
+                }
             } else if cur == 0 {
                 layer.infer_batch(ping, batch, pong, buf);
                 cur = 1;
@@ -475,8 +556,9 @@ impl QLayer {
 /// call, so the gate loop is straight-line mul/add/div in one fixed IEEE
 /// order — still bit-deterministic across runs, backends, and worker
 /// counts (the determinism contract needs *reproducible* gates, not
-/// f32-identical ones) — and auto-vectorizable, which is where the tier's
-/// per-frame latency win over f32's `exp`-based gates comes from.
+/// f32-identical ones) — and vectorizable across hidden units
+/// ([`lstm_gates`]), which is where the tier's per-frame latency win over
+/// f32's `exp`-based gates comes from.
 #[inline]
 // lint: hot-path
 fn fast_tanh(x: f32) -> f32 {
@@ -494,6 +576,43 @@ fn fast_tanh(x: f32) -> f32 {
 // lint: hot-path
 fn fast_sigmoid(x: f32) -> f32 {
     0.5 + 0.5 * fast_tanh(0.5 * x)
+}
+
+/// Splits a `4·h`-wide gate row into its `[input, forget, cell, output]`
+/// blocks, each exactly `h` long.
+#[inline]
+// lint: hot-path
+fn gate_blocks(row: &[f32], h: usize) -> [&[f32]; 4] {
+    let (i, rest) = row.split_at(h);
+    let (f, rest) = rest.split_at(h);
+    let (g, o) = rest.split_at(h);
+    [i, f, g, &o[..h]]
+}
+
+/// One LSTM step's gate math over `h = c.len()` hidden units:
+/// `z = xw + hu + b` per gate, then `c ← f·c + i·g` and `h ← o·tanh(c)`,
+/// in the f32 layer's operation order with the rational nonlinearities.
+///
+/// Every operand is sliced into `h`-long gate blocks before the loop, so
+/// the compiler sees equal lengths, drops the bounds checks and
+/// vectorizes across hidden units. Each unit's operations and their order
+/// are unchanged, so the results are the same bits as the scalar loop.
+// lint: hot-path
+fn lstm_gates(xw: &[f32], hu: &[f32], bias: &[f32], c: &mut [f32], h_out: &mut [f32]) {
+    let h = c.len();
+    let [xi, xf, xg, xo] = gate_blocks(xw, h);
+    let [ui, uf, ug, uo] = gate_blocks(hu, h);
+    let [bi, bf, bg, bo] = gate_blocks(bias, h);
+    let h_out = &mut h_out[..h];
+    for k in 0..h {
+        let i = fast_sigmoid(xi[k] + ui[k] + bi[k]);
+        let f = fast_sigmoid(xf[k] + uf[k] + bf[k]);
+        let g = fast_tanh(xg[k] + ug[k] + bg[k]);
+        let o = fast_sigmoid(xo[k] + uo[k] + bo[k]);
+        let c_new = f * c[k] + i * g;
+        c[k] = c_new;
+        h_out[k] = o * fast_tanh(c_new);
+    }
 }
 
 /// Quantizes every row of `x` into `dst` at row stride `stride`
@@ -604,32 +723,36 @@ impl QConv1d {
 }
 
 impl QLstm {
-    /// The f32 layer's fused structure with quantized projections: one
-    /// batched int8 `x·Wᵀ` for every step of every sequence, then the
-    /// cheap per-step recurrence with an int8 `h·Uᵀ` at the fixed `1/127`
-    /// hidden scale. Gate math follows the f32 layer's operation order
-    /// with the deterministic rational nonlinearities ([`fast_tanh`]).
+    /// The batched input projection `xw = dequant(quant(x)·Wqᵀ)` for every
+    /// row of `x` (`(rows, 4H)`). Rows are independent: a per-tensor input
+    /// scale, exact integer products and a per-column dequantization.
     // lint: hot-path
-    fn infer_batch(&self, x: &Mat, batch: usize, out: &mut Mat, buf: &mut QuantBuffers) {
-        let h = self.hidden;
-        let in_dim = x.cols();
-        assert_eq!(in_dim, self.wq.cols(), "QLstm: input width mismatch");
-        let t_len = x.rows() / batch;
-        assert!(t_len > 0, "QLstm: empty input sequence");
-
-        // Batched input projection.
+    fn project(&self, x: &Mat, xw: &mut Mat, buf: &mut QuantBuffers) {
+        let (rows, h4) = (x.rows(), 4 * self.hidden);
+        assert_eq!(x.cols(), self.wq.cols(), "QLstm: input width mismatch");
         let stride_w = self.wq.stride();
         quantize_rows(x, &self.x, stride_w, &mut buf.qa);
-        buf.acc.resize(batch * t_len * 4 * h, 0);
-        gemm_i8_abt(batch * t_len, stride_w, 4 * h, &buf.qa, self.wq.data(), &mut buf.acc);
-        buf.xw.resize(batch * t_len, 4 * h);
-        for r in 0..batch * t_len {
-            let acc_row = &buf.acc[r * 4 * h..(r + 1) * 4 * h];
-            let xw_row = buf.xw.row_mut(r);
-            for j in 0..4 * h {
-                xw_row[j] = acc_row[j] as f32 * self.deq_w[j];
+        buf.acc.resize(rows * h4, 0);
+        gemm_i8_abt(rows, stride_w, h4, &buf.qa, self.wq.data(), &mut buf.acc);
+        xw.resize(rows, h4);
+        for (xw_row, acc_row) in
+            xw.as_mut_slice().chunks_exact_mut(h4).zip(buf.acc.chunks_exact(h4))
+        {
+            for ((o, &a), &d) in xw_row.iter_mut().zip(acc_row).zip(&self.deq_w) {
+                *o = a as f32 * d;
             }
         }
+    }
+
+    /// The per-sequence recurrence over `batch` stacked sequences of
+    /// projected rows `xw` (from [`QLstm::project`]): an int8 `h·Uᵀ` at the
+    /// fixed `1/127` hidden scale per step, then [`lstm_gates`].
+    // lint: hot-path
+    fn recur(&self, xw: &Mat, batch: usize, out: &mut Mat, buf: &mut QuantBuffers) {
+        let h = self.hidden;
+        assert_eq!(xw.cols(), 4 * h, "QLstm: projected width mismatch");
+        let t_len = xw.rows() / batch;
+        assert!(t_len > 0, "QLstm: empty input sequence");
 
         let stride_u = self.uq.stride();
         buf.hu.resize(4 * h, 0.0);
@@ -646,7 +769,6 @@ impl QLstm {
             out.resize(batch, h);
         }
 
-        let b_row = &self.bias;
         for seq in 0..batch {
             buf.h.fill(0.0);
             buf.c.fill(0.0);
@@ -656,24 +778,10 @@ impl QLstm {
                     *qh = quantize_rne(hv, 127.0);
                 }
                 gemm_i8_abt(1, stride_u, 4 * h, &buf.qh, self.uq.data(), &mut buf.acc_h);
-                for j in 0..4 * h {
-                    buf.hu[j] = buf.acc_h[j] as f32 * self.deq_u[j];
+                for ((hu, &a), &d) in buf.hu.iter_mut().zip(&buf.acc_h).zip(&self.deq_u) {
+                    *hu = a as f32 * d;
                 }
-                let xw_row = buf.xw.row(seq * t_len + t);
-                let hu = &buf.hu;
-                for k in 0..h {
-                    let zi = xw_row[k] + hu[k] + b_row[k];
-                    let zf = xw_row[h + k] + hu[h + k] + b_row[h + k];
-                    let zg = xw_row[2 * h + k] + hu[2 * h + k] + b_row[2 * h + k];
-                    let zo = xw_row[3 * h + k] + hu[3 * h + k] + b_row[3 * h + k];
-                    let i = fast_sigmoid(zi);
-                    let f = fast_sigmoid(zf);
-                    let g = fast_tanh(zg);
-                    let o = fast_sigmoid(zo);
-                    let c_new = f * buf.c[k] + i * g;
-                    buf.c[k] = c_new;
-                    buf.h[k] = o * fast_tanh(c_new);
-                }
+                lstm_gates(xw.row(seq * t_len + t), &buf.hu, &self.bias, &mut buf.c, &mut buf.h);
                 if self.return_sequences {
                     out.row_mut(seq * t_len + t).copy_from_slice(&buf.h);
                 }
@@ -682,6 +790,17 @@ impl QLstm {
                 out.row_mut(seq).copy_from_slice(&buf.h);
             }
         }
+    }
+
+    /// The f32 layer's fused structure with quantized projections: one
+    /// batched [`QLstm::project`] for every step of every sequence, then
+    /// the per-step [`QLstm::recur`].
+    // lint: hot-path
+    fn infer_batch(&self, x: &Mat, batch: usize, out: &mut Mat, buf: &mut QuantBuffers) {
+        let mut xw = std::mem::take(&mut buf.xw);
+        self.project(x, &mut xw, buf);
+        self.recur(&xw, batch, out, buf);
+        buf.xw = xw;
     }
 }
 
@@ -728,6 +847,53 @@ mod tests {
         assert_eq!(quantize_rne(200.0, 1.0), 127);
         assert_eq!(quantize_rne(-200.0, 1.0), -127);
         assert_eq!(quantize_rne(f32::NAN, 1.0), 0);
+    }
+
+    /// The add-and-subtract rounding equals `round_ties_even` followed by
+    /// the clamp, at unit scale and at the hidden-state scale 127: on every
+    /// integer and half-integer of [-140, 140] and their neighbours (and
+    /// the same points divided by 127, so the ties also land at scale 127),
+    /// on zeros, subnormals, infinities, NaN and the extremes, and on
+    /// random bit patterns.
+    #[test]
+    fn quantize_rne_equals_round_ties_even() {
+        let reference = |x: f32, inv: f32| (x * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
+        let tiny = f32::from_bits(1);
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f32::MIN_POSITIVE.next_down(),
+            -f32::MIN_POSITIVE.next_down(),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for i in -280..=280 {
+            for v in [i as f32 * 0.5, i as f32 * 0.5 / 127.0] {
+                inputs.extend([v, v.next_up(), v.next_down()]);
+            }
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..100_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            inputs.push(f32::from_bits((state >> 32) as u32));
+        }
+        for inv in [1.0, 127.0] {
+            for &x in &inputs {
+                assert_eq!(
+                    quantize_rne(x, inv),
+                    reference(x, inv),
+                    "x = {x:e} ({:#010x}), inv_scale {inv}",
+                    x.to_bits()
+                );
+            }
+        }
     }
 
     #[test]
@@ -837,6 +1003,198 @@ mod tests {
             for (b, single) in singles.iter().enumerate() {
                 for r in 0..rows_per_seq {
                     assert_eq!(single.row(r), out.row(b * rows_per_seq + r), "seq {b}, row {r}");
+                }
+            }
+        }
+    }
+
+    /// Requantization written the plain way, independent of
+    /// [`quantize_rne`].
+    fn requantize_ref(x: f32, inv_scale: f32) -> i8 {
+        (x * inv_scale).round_ties_even().clamp(-127.0, 127.0) as i8
+    }
+
+    /// The [7/6] Padé tanh in [`fast_tanh`]'s operation order.
+    fn tanh_ref(x: f32) -> f32 {
+        let x = x.clamp(-4.9, 4.9);
+        let x2 = x * x;
+        let num = x * (135135.0 + x2 * (17325.0 + x2 * (378.0 + x2)));
+        num / (135135.0 + x2 * (62370.0 + x2 * (3150.0 + x2 * 28.0)))
+    }
+
+    fn sigmoid_ref(x: f32) -> f32 {
+        0.5 + 0.5 * tanh_ref(0.5 * x)
+    }
+
+    /// `rows` int8 activation rows of width `k` against the unpadded weight
+    /// rows of `w`, through the naive kernel: `(rows, w.rows())` i32 sums.
+    fn product_ref(qa: &[i8], rows: usize, k: usize, w: &QuantizedMat) -> Vec<i32> {
+        let mut wr = Vec::with_capacity(w.rows() * k);
+        for j in 0..w.rows() {
+            wr.extend_from_slice(&w.data()[j * w.stride()..j * w.stride() + k]);
+        }
+        let mut acc = vec![0i32; rows * w.rows()];
+        crate::kernels::int8::naive_i8_abt(rows, k, w.rows(), qa, &wr, &mut acc);
+        acc
+    }
+
+    /// `acc · deq + bias` per output row, `None` for no bias.
+    fn dequantize_ref(acc: &[i32], rows: usize, deq: &[f32], bias: Option<&[f32]>) -> Mat {
+        let n = deq.len();
+        let mut out = Mat::zeros(rows, n);
+        for r in 0..rows {
+            for j in 0..n {
+                let v = acc[r * n + j] as f32 * deq[j];
+                out[(r, j)] = match bias {
+                    Some(b) => v + b[j],
+                    None => v,
+                };
+            }
+        }
+        out
+    }
+
+    fn quantize_ref(x: &Mat, q: &ActQuant) -> Vec<i8> {
+        x.as_slice().iter().map(|&v| requantize_ref(v, q.inv_scale)).collect()
+    }
+
+    /// An independent int8 forward pass over one sequence: plain loops,
+    /// the naive kernel on unpadded operands, [`requantize_ref`] and the
+    /// gates spelled out. Shares no inference code with the layers.
+    fn forward_ref(net: &QuantizedNetwork, x: &Mat) -> Mat {
+        let mut cur = x.clone();
+        for layer in &net.layers {
+            cur = match layer {
+                QLayer::Dense(d) => {
+                    let acc = product_ref(&quantize_ref(&cur, &d.x), cur.rows(), cur.cols(), &d.wq);
+                    dequantize_ref(&acc, cur.rows(), &d.deq, Some(&d.bias))
+                }
+                QLayer::Relu => cur.map(|v| if v > 0.0 { v } else { 0.0 }),
+                QLayer::GlobalMaxPool => {
+                    let mut out = Mat::zeros(1, cur.cols());
+                    for col in 0..cur.cols() {
+                        let mut best = cur[(0, col)];
+                        for r in 1..cur.rows() {
+                            if cur[(r, col)] > best {
+                                best = cur[(r, col)];
+                            }
+                        }
+                        out[(0, col)] = best;
+                    }
+                    out
+                }
+                QLayer::Conv1d(c) => {
+                    let (t, cin, k) = (cur.rows(), c.in_channels, c.kernel);
+                    let (lo, total) = match c.padding {
+                        Padding::Valid => (0, 0),
+                        Padding::Same => ((k - 1) / 2, k - 1),
+                    };
+                    let t_out = t + total + 1 - k;
+                    let qx = quantize_ref(&cur, &c.x);
+                    let mut patches = vec![0i8; t_out * k * cin];
+                    for o in 0..t_out {
+                        for j in 0..k {
+                            let src = (o + j) as isize - lo as isize;
+                            if (0..t as isize).contains(&src) {
+                                for ch in 0..cin {
+                                    patches[(o * k + j) * cin + ch] = qx[src as usize * cin + ch];
+                                }
+                            }
+                        }
+                    }
+                    let acc = product_ref(&patches, t_out, k * cin, &c.wq);
+                    dequantize_ref(&acc, t_out, &c.deq, Some(&c.bias))
+                }
+                QLayer::Lstm(l) => {
+                    let (t, h) = (cur.rows(), l.hidden);
+                    let acc = product_ref(&quantize_ref(&cur, &l.x), t, cur.cols(), &l.wq);
+                    let xw = dequantize_ref(&acc, t, &l.deq_w, None);
+                    let (mut hs, mut c) = (vec![0.0f32; h], vec![0.0f32; h]);
+                    let mut out = Mat::zeros(t, h);
+                    for step in 0..t {
+                        let qh: Vec<i8> = hs.iter().map(|&v| requantize_ref(v, 127.0)).collect();
+                        let hu = dequantize_ref(&product_ref(&qh, 1, h, &l.uq), 1, &l.deq_u, None);
+                        for k in 0..h {
+                            let z = |g: usize| {
+                                xw[(step, g * h + k)] + hu[(0, g * h + k)] + l.bias[g * h + k]
+                            };
+                            let (i, f, g, o) = (
+                                sigmoid_ref(z(0)),
+                                sigmoid_ref(z(1)),
+                                tanh_ref(z(2)),
+                                sigmoid_ref(z(3)),
+                            );
+                            c[k] = f * c[k] + i * g;
+                            hs[k] = o * tanh_ref(c[k]);
+                        }
+                        out.row_mut(step).copy_from_slice(&hs);
+                    }
+                    if l.return_sequences {
+                        out
+                    } else {
+                        out.slice_rows(t - 1, t)
+                    }
+                }
+            };
+        }
+        cur
+    }
+
+    fn bits(m: &Mat) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `predict_scratch`, `predict_batch_into` and, for the LSTM specs,
+    /// rows projected one at a time through `predict_projected_batch_into`
+    /// all equal the independent reference pass bit for bit. The lone
+    /// sequence-returning LSTM exposes its f32 hidden states directly,
+    /// where a later layer's requantization could hide a one-ulp slip.
+    #[test]
+    fn quantized_inference_matches_independent_reference() {
+        let lone_lstm = NetworkSpec::new(vec![LayerSpec::Lstm {
+            in_dim: 3,
+            hidden: 8,
+            return_sequences: true,
+        }]);
+        for (spec, seed) in [(conv_spec(), 17u64), (lstm_spec(), 19u64), (lone_lstm, 23u64)] {
+            let mut net = Network::new(spec, seed);
+            let t = 9usize;
+            let calib = calib_windows(t, 3, 4);
+            let qnet = QuantizedNetwork::quantize(&mut net, &calib).unwrap();
+            let mut scratch = qnet.make_scratch();
+            let mut stacked = Mat::zeros(calib.len() * t, 3);
+            let mut stacked_xw = Mat::zeros(0, 0);
+            let (mut out, mut row_xw) = (Mat::zeros(0, 0), Mat::zeros(0, 0));
+            let mut want = Vec::new();
+            for (b, x) in calib.iter().enumerate() {
+                want.push(bits(&forward_ref(&qnet, x)));
+                qnet.predict_scratch(x, &mut out, &mut scratch);
+                assert_eq!(bits(&out), want[b], "seed {seed}: predict_scratch, window {b}");
+                stacked.copy_rows_from(x, b * t);
+                if let Some(lstm) = qnet.leading_lstm() {
+                    let width = 4 * lstm.hidden;
+                    stacked_xw.resize(calib.len() * t, width);
+                    for r in 0..t {
+                        qnet.project_rows_into(&x.slice_rows(r, r + 1), &mut row_xw, &mut scratch);
+                        stacked_xw.row_mut(b * t + r).copy_from_slice(row_xw.row(0));
+                    }
+                }
+            }
+            let n = calib.len();
+            qnet.predict_batch_into(&stacked, n, &mut out, &mut scratch);
+            let per = out.rows() / n;
+            for (b, w) in want.iter().enumerate() {
+                assert_eq!(
+                    &bits(&out.slice_rows(b * per, (b + 1) * per)),
+                    w,
+                    "seed {seed}: batch {b}"
+                );
+            }
+            if qnet.leading_lstm().is_some() {
+                qnet.predict_projected_batch_into(&stacked_xw, n, &mut out, &mut scratch);
+                for (b, w) in want.iter().enumerate() {
+                    let got = bits(&out.slice_rows(b * per, (b + 1) * per));
+                    assert_eq!(&got, w, "seed {seed}: projected batch {b}");
                 }
             }
         }
