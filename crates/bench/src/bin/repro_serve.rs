@@ -1,12 +1,13 @@
 //! Network ingress service — the monitor as a deployable endpoint.
 //!
 //! The in-process story ends at `repro_fleet`: N guarded procedures over
-//! one `ShardedMonitorPool`. This binary proves the same pool behind a
-//! real TCP front end: framed wire protocol, admission control that sheds
+//! one `ShardedMonitorPool`. This binary proves the same monitor behind a
+//! real TCP front end, whose event loops each score the frames of their own
+//! connections: framed wire protocol, admission control that sheds
 //! excess sessions with a typed BUSY (never delaying admitted ones), and
 //! a closed-loop load generator that sweeps offered sessions to find the
 //! service's knee. Latency here is end-to-end — client send to DECISION
-//! receipt over the socket — not just pool compute time.
+//! receipt over the socket — not just compute time.
 //!
 //! `--smoke` (the CI gate) asserts, on a small fixed-seed pipeline:
 //!
@@ -69,7 +70,7 @@ fn serve_cfg(workers: usize, precision: Precision) -> ServeConfig {
 fn start_server(
     pipeline: &Arc<TrainedPipeline>,
     max_sessions: usize,
-    workers: usize,
+    loops: usize,
     precision: Precision,
 ) -> IngressServer {
     IngressServer::start(
@@ -77,7 +78,7 @@ fn start_server(
         ServerConfig {
             max_sessions,
             mode: ContextMode::Predicted,
-            serve: serve_cfg(workers, precision),
+            serve: serve_cfg(loops, precision),
             ..ServerConfig::default()
         },
     )
@@ -267,21 +268,21 @@ fn main() {
     header("training the Suturing monitor");
     let (pipeline, _ds) = train_pipeline(scale, precision);
 
-    let (frames, workers, sweep): (usize, usize, &[usize]) = match scale {
+    let (frames, loops, sweep): (usize, usize, &[usize]) = match scale {
         Scale::Fast => (60, 4, &[1, 2, 4, 8, 16, 32, 64]),
         Scale::Full => (200, 4, &[1, 2, 4, 8, 16, 32, 64, 128]),
     };
     let deadline_ms = 33.3; // one 30 Hz frame interval, end-to-end
 
     header(&format!(
-        "load sweep — closed-loop sessions over TCP ({cores} host core(s), {workers} pool \
-         workers, {precision} tier, {} backend)",
+        "load sweep — closed-loop sessions over TCP ({cores} host core(s), {loops} event \
+         loops, {precision} tier, {} backend)",
         nn::kernels::gemm_backend_label()
     ));
     let mut rows: Vec<Row> = Vec::new();
     for &sessions in sweep {
-        // A fresh server per level: no warm pool state leaks across rows.
-        let server = start_server(&pipeline, 2 * sessions, workers, precision);
+        // A fresh server per level: no warm engine state leaks across rows.
+        let server = start_server(&pipeline, 2 * sessions, loops, precision);
         let report = loadgen::run(
             &server.local_addr().to_string(),
             &LoadgenConfig {
@@ -318,7 +319,7 @@ fn main() {
     // Admission-control demo at the knee: cap the server there, offer
     // double, and show shed sessions never degrade admitted ones.
     header("admission control at the knee (offer 2x, shed the excess)");
-    let server = start_server(&pipeline, knee, workers, precision);
+    let server = start_server(&pipeline, knee, loops, precision);
     let shed_demo = loadgen::run(
         &server.local_addr().to_string(),
         &LoadgenConfig {
@@ -332,7 +333,7 @@ fn main() {
     .expect("loadgen");
     print_report("2x knee", &shed_demo);
 
-    write_summary(&rows, &shed_demo, knee, cores, workers, frames, deadline_ms, precision);
+    write_summary(&rows, &shed_demo, knee, cores, loops, frames, deadline_ms, precision);
 }
 
 /// Hand-formatted JSON summary (no serde in the bench crate) written to
@@ -344,14 +345,14 @@ fn write_summary(
     shed_demo: &LoadReport,
     knee: usize,
     cores: usize,
-    workers: usize,
+    loops: usize,
     frames: usize,
     deadline_ms: f64,
     precision: Precision,
 ) {
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"bench\": \"ingress\",\n  \"cores\": {cores},\n  \"pool_workers\": {workers},\n  \
+        "  \"bench\": \"ingress\",\n  \"cores\": {cores},\n  \"event_loops\": {loops},\n  \
          \"frames_per_session\": {frames},\n  \"deadline_ms\": {deadline_ms},\n  \
          \"tier\": \"{precision}\",\n  \"gemm_backend\": \"{}\",\n  \
          \"knee_sessions\": {knee},\n  \"rows\": [\n",

@@ -881,8 +881,20 @@ mod tests {
         tick_of(&p, &ds, engines.into(), &[(0, None), (1, None)]);
     }
 
-    /// A frame's deterministic output: the gesture and the score's bits.
-    type Bits = (Option<Gesture>, Option<u32>);
+    /// A frame's deterministic output: the gesture, the score's bits and,
+    /// when stage 1 ran on a warm window, the bits of its logits.
+    type Bits = (Option<Gesture>, Option<u32>, Option<Vec<u32>>);
+
+    fn logit_bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|l| l.to_bits()).collect()
+    }
+
+    /// Engine `e`'s row of the last tick's stage-1 logits, if its gesture
+    /// window was warm in that tick.
+    fn tick_logits(scratch: &BatchScratch, e: usize) -> Option<Vec<u32>> {
+        let b = scratch.gmembers.iter().position(|&m| m == e)?;
+        Some(logit_bits(scratch.glogits.row(b)))
+    }
 
     /// Index of the first maximal logit.
     fn first_max(row: &[f32]) -> usize {
@@ -897,9 +909,10 @@ mod tests {
     /// on int8 they run `QuantizedNetwork::predict_scratch` on the whole
     /// window. Smoothing is the `mode_of` recount, routing reads the
     /// tier's classifier maps directly (not `error_route`), and the score
-    /// is the allocating `softmax`. Counts the context-routed windows that
-    /// a dedicated classifier (`routes[0]`) and the global fallback
-    /// (`routes[1]`) scored.
+    /// is the allocating `softmax`. Keeps each frame's whole-window stage-1
+    /// logits. Counts the context-routed windows that a dedicated
+    /// classifier (`routes[0]`) and the global fallback (`routes[1]`)
+    /// scored.
     fn oracle(
         pipeline: &mut TrainedPipeline,
         demo: &kinematics::Demonstration,
@@ -914,6 +927,7 @@ mod tests {
         let mut raw = Vec::new();
         let mut out = Vec::new();
         for t in 0..demo.len() {
+            let mut stage1 = None;
             let gesture = match mode {
                 ContextMode::Perfect => Some(demo.gestures[t]),
                 _ if t + 1 < gw => None,
@@ -924,6 +938,7 @@ mod tests {
                         _ => pipeline.gesture_net.predict(&window),
                     };
                     raw.push(first_max(logits.row(0)));
+                    stage1 = Some(logit_bits(logits.row(0)));
                     Gesture::from_index(mode_of(&raw[raw.len().saturating_sub(k)..]))
                 }
             };
@@ -959,7 +974,7 @@ mod tests {
                 // No classifier at all: the score is 0.
                 logits.map_or(0.0, |l| nn::loss::softmax(l.row(0))[1])
             });
-            out.push((gesture, score.map(f32::to_bits)));
+            out.push((gesture, score.map(f32::to_bits), stage1));
         }
         out
     }
@@ -982,23 +997,29 @@ mod tests {
     /// Steps one engine per demo through every frame: alone with
     /// `step`/`step_with_context`, and together in `step_batch` ticks
     /// (ragged once the shorter demo ends). Context is supplied to the
-    /// batch in every mode, where only `Perfect` may read it.
+    /// batch in every mode, where only `Perfect` may read it. Stage-1
+    /// logits are each warm engine's row of the tick's: on the engine's own
+    /// scratch for `step`, on the shared scratch for `step_batch`.
     fn engine_runs(
         pipeline: &TrainedPipeline,
         demos: &[&kinematics::Demonstration],
         mode: ContextMode,
         precision: Precision,
     ) -> (Vec<Vec<Bits>>, Vec<Vec<Bits>>) {
-        let bits = |s: &EngineStep| (s.gesture, s.unsafe_score.map(f32::to_bits));
+        let bits = |s: &EngineStep, logits| (s.gesture, s.unsafe_score.map(f32::to_bits), logits);
         let alone = demos
             .iter()
             .map(|d| {
                 let mut engine = InferenceEngine::with_precision(pipeline, mode, precision);
-                let steps = d.frames.iter().zip(&d.gestures).map(|(f, &g)| match mode {
-                    ContextMode::Perfect => engine.step_with_context(pipeline, f, g),
-                    _ => engine.step(pipeline, f).expect("only Perfect mode needs context"),
-                });
-                steps.map(|s| bits(&s)).collect()
+                let mut out = Vec::with_capacity(d.len());
+                for (f, &g) in d.frames.iter().zip(&d.gestures) {
+                    let step = match mode {
+                        ContextMode::Perfect => engine.step_with_context(pipeline, f, g),
+                        _ => engine.step(pipeline, f).expect("only Perfect mode needs context"),
+                    };
+                    out.push(bits(&step, tick_logits(&engine.scratch, 0)));
+                }
+                out
             })
             .collect();
         let mut engines: Vec<_> = demos
@@ -1019,16 +1040,17 @@ mod tests {
                 .collect();
             step_batch(pipeline, &mut engines, &jobs, &mut scratch, &mut steps);
             for (job, s) in jobs.iter().zip(&steps) {
-                batched[job.engine].push(bits(s));
+                batched[job.engine].push(bits(s, tick_logits(&scratch, job.engine)));
             }
         }
         (alone, batched)
     }
 
     /// The engine — alone and batched — equals the independent oracle bit
-    /// for bit on every frame, warm-up included, in every context mode,
-    /// over several training seeds and both stage-2 architectures, with
-    /// both the dedicated and the global-fallback route exercised.
+    /// for bit on every frame, warm-up included, in the gesture, the score
+    /// and every stage-1 logit, in every context mode, over several
+    /// training seeds and both stage-2 architectures, with both the
+    /// dedicated and the global-fallback route exercised.
     #[test]
     fn engine_matches_independent_oracle_bit_for_bit() {
         oracle_agreement(Precision::F32);
@@ -1057,6 +1079,11 @@ mod tests {
                 let (alone, batched) = engine_runs(&pipeline, &demos, mode, precision);
                 for (d, demo) in demos.iter().enumerate() {
                     let expected = oracle(&mut pipeline, demo, mode, precision, &mut routes);
+                    assert_eq!(
+                        expected.iter().any(|e| e.2.is_some()),
+                        mode != ContextMode::Perfect,
+                        "stage-1 logits are compared wherever stage 1 runs"
+                    );
                     for (path, got) in [("step", &alone[d]), ("step_batch", &batched[d])] {
                         assert_eq!(got.len(), expected.len());
                         for (t, (g, e)) in got.iter().zip(&expected).enumerate() {

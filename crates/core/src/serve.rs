@@ -7,25 +7,24 @@
 //! nobody leaves), frames travel to their shard over that shard's ingress
 //! channel, and every processed frame comes home as one message on a shared
 //! egress channel: its decision plus the frame buffer, for reuse by the next
-//! submit. A caller that waits on something other than that channel (the
-//! ingress event loop waits in `poll(2)` on its sockets) can install one
-//! [wake hook](ShardedMonitorPool::set_wake_hook), which each worker calls
-//! after a tick's decisions are sent. The fleet is **elastic**: sessions can be
+//! submit. The fleet is **elastic**: sessions can be
 //! [removed](ShardedMonitorPool::remove_session) at any time — their engine
 //! slot is recycled by the next [`add_session`](ShardedMonitorPool::add_session)
 //! while decisions already in flight drain normally — so clients of a
-//! long-running pool can connect and leave at will (the network ingress
-//! service in `crates/ingress` rides exactly this surface). Each worker owns only the
-//! **per-session** state (a `Vec` of [`InferenceEngine`]s plus batch
-//! scratch); the [`TrainedPipeline`] — the model weights — is shared
-//! read-only behind an `Arc`, which the `&self` inference paths
+//! long-running pool can connect and leave at will. Each worker owns only the
+//! **per-session** state (a [`Shard`]: its sessions' [`InferenceEngine`]s
+//! plus batch scratch); the [`TrainedPipeline`] — the model weights — is
+//! shared read-only behind an `Arc`, which the `&self` inference paths
 //! (`Network::predict_scratch` and friends) make safe.
 //!
 //! Within a shard, frames are processed in **micro-batched ticks**: the
 //! worker drains its ingress queue and advances every distinct session one
 //! frame via [`engine::step_batch`], which fuses the stage-1 forward passes
 //! of all warm sessions into one batched network evaluation and groups
-//! stage-2 windows by their routed error classifier. Determinism is part of
+//! stage-2 windows by their routed error classifier. [`Shard`] holds those
+//! tick rules once; the network ingress service in `crates/ingress` drives
+//! one per event loop on the loop's own thread, with no pool and no
+//! channel. Determinism is part of
 //! the contract: per session, the emitted decisions are **bit-exactly** the
 //! ones a lone [`InferenceEngine`] produces when stepped frame by frame, for
 //! every `ContextMode` — batching changes wall-clock, never floats
@@ -46,7 +45,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gestures::Gesture;
 use kinematics::KinematicSample;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,7 +53,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Number of shard worker threads (each owns `sessions / workers`
-    /// engines). Clamped to at least 1.
+    /// engines); the network ingress service runs this many event loops
+    /// instead. Clamped to at least 1.
     pub workers: usize,
     /// Alert threshold applied by every worker, in `(0, 1)`.
     pub threshold: f32,
@@ -127,16 +127,14 @@ enum Job {
         context: Option<Gesture>,
         submitted: Instant,
     },
-    /// Binds engine slot `slot` of this shard to a new session: a fresh
-    /// slot (`slot == engines.len()`) grows the shard, a recycled slot is
-    /// reset like [`Job::Reset`]. Queued in job order, so frames of the
-    /// slot's previous tenant (all enqueued before the [`Job::Reset`] that
-    /// freed it) are scored before the new tenant starts.
+    /// [`Shard::bind`]s engine slot `slot` to a new session. Queued in job
+    /// order, so frames of the slot's previous tenant (all enqueued before
+    /// the [`Job::Reset`] that freed it) are scored before the new tenant
+    /// starts.
     Bind { slot: usize },
-    /// Rewinds a slot to a cold engine, on session removal and on
-    /// [`ShardedMonitorPool::reset_session`] alike: the tick in flight (if
-    /// the slot is in it) runs first so the session's last queued frame
-    /// still emits its decision, then the engine resets.
+    /// [`Shard::reset`]s a slot, on session removal and on
+    /// [`ShardedMonitorPool::reset_session`] alike, so the session's last
+    /// queued frame still emits its decision.
     Reset { slot: usize },
     /// Chaos hook: the worker sleeps before processing anything queued
     /// behind this job — see [`ShardedMonitorPool::inject_stall`].
@@ -153,9 +151,9 @@ struct Done {
     frame: KinematicSample,
 }
 
-/// The hook [`ShardedMonitorPool::set_wake_hook`] installs, shared with
-/// every shard worker.
-type WakeHook = Arc<OnceLock<Box<dyn Fn() + Send + Sync>>>;
+/// What a pool frame carries through its shard and home again: its
+/// session, its index in the session's stream and its submit time.
+type Stamp = (SessionId, usize, Instant);
 
 /// Log-scale bucket count of the latency histogram: 6 decades
 /// (10⁻⁴ … 10² ms) at 40 buckets per decade, ≈ 5.9% relative resolution.
@@ -280,7 +278,6 @@ pub struct ShardedMonitorPool {
     mode: ContextMode,
     ingress: Vec<Sender<Job>>,
     egress: Receiver<Done>,
-    wake: WakeHook,
     /// Frame buffers that came home with their decisions, reused by the
     /// next `submit` so the steady-state ingress path allocates nothing (a
     /// fresh clone happens only while the in-flight high-water mark is
@@ -321,35 +318,22 @@ impl ShardedMonitorPool {
     /// not start with an LSTM — the misconfiguration must fail at pool
     /// construction, not inside a shard worker.
     pub fn new(pipeline: Arc<TrainedPipeline>, mode: ContextMode, config: ServeConfig) -> Self {
-        assert!(config.threshold > 0.0 && config.threshold < 1.0, "threshold must be in (0,1)");
-        assert!(
-            config.precision == Precision::F32 || pipeline.quantized.is_some(),
-            "Precision::Int8 requires TrainedPipeline::quantize() before pool construction"
-        );
-        // Rejects a stage 1 whose projected rows the engines cannot window.
-        stage1_width(&pipeline);
         let workers = config.workers.max(1);
         let (egress_tx, egress_rx) = unbounded();
-        let wake = WakeHook::default();
         let mut ingress = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (tx, rx) = unbounded();
-            let pipeline = Arc::clone(&pipeline);
+            // Built here, so a misconfiguration panics on the caller's thread.
+            let shard = Shard::new(Arc::clone(&pipeline), mode, config);
             let egress = egress_tx.clone();
-            let wake = Arc::clone(&wake);
-            let threshold = config.threshold;
-            let precision = config.precision;
-            handles.push(std::thread::spawn(move || {
-                worker_loop(&pipeline, mode, threshold, precision, &rx, &egress, wake);
-            }));
+            handles.push(std::thread::spawn(move || worker_loop(shard, &rx, &egress)));
             ingress.push(tx);
         }
         Self {
             mode,
             ingress,
             egress: egress_rx,
-            wake,
             spare_frames: Vec::new(),
             handles,
             assignments: Vec::new(),
@@ -385,13 +369,7 @@ impl ShardedMonitorPool {
     /// when one exists. Session ids are never reused; engine slots are.
     pub fn add_session(&mut self) -> SessionId {
         let id = self.assignments.len();
-        let shard = self
-            .occupancy
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, occ)| occ)
-            .map(|(s, _)| s)
-            .unwrap_or(0);
+        let shard = least_occupied(self.occupancy.iter().copied());
         // lint: allow(panic, reason = "shard comes from the occupancy index range; all per-shard vecs are workers long")
         let slot = self.free[shard].pop().unwrap_or_else(|| {
             let fresh = self.shard_slots[shard]; // lint: allow(panic, reason = "shard comes from the occupancy index range; all per-shard vecs are workers long")
@@ -593,21 +571,6 @@ impl ShardedMonitorPool {
         self.send(shard, Job::Stall { dur });
     }
 
-    /// Installs `hook`, which a shard worker calls after each tick's
-    /// decisions are sent home and before it waits for more work. A caller
-    /// that blocks on something other than this pool (an event loop in
-    /// `poll(2)` on its sockets, say) uses it to wake when decisions become
-    /// ready for [`ShardedMonitorPool::poll_into`]. The hook runs on the
-    /// shard threads once per tick, so it must be cheap. Without a hook a
-    /// tick pays one atomic load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool already has a wake hook.
-    pub fn set_wake_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        assert!(self.wake.set(Box::new(hook)).is_ok(), "the pool already has a wake hook");
-    }
-
     /// Non-blocking drain of the decisions that are ready right now,
     /// appended into a caller-owned buffer (no allocation once the buffer
     /// is warm).
@@ -736,121 +699,227 @@ impl Drop for ShardedMonitorPool {
     }
 }
 
-/// The per-shard state a [`run_tick`] call consumes: the sessions' engines
-/// and the tick under construction. All buffers are reused across ticks —
-/// the steady-state worker loop performs no per-tick allocation. Slots are
-/// recycled across sessions ([`Job::Bind`] / [`Job::Reset`]); a decision's
-/// session and frame index arrive stamped on its [`Job::Frame`].
-struct ShardState {
-    engines: Vec<InferenceEngine>,
-    scratch: BatchScratch,
-    steps: Vec<EngineStep>,
-    /// The tick under construction (at most one job per session) and each
-    /// job's session, frame index and submit time, index-aligned.
-    tick: Vec<BatchJob>,
-    stamps: Vec<(SessionId, usize, Instant)>,
-    in_tick: Vec<bool>,
-    wake: WakeHook,
+/// The index of the least-occupied of `occupancy`'s entries, ties to the
+/// lowest index (0 when empty): where [`ShardedMonitorPool::add_session`]
+/// places a session, and where the ingress service places a connection.
+/// With no removals it deals round-robin.
+pub fn least_occupied(occupancy: impl IntoIterator<Item = usize>) -> usize {
+    // `min_by_key` keeps the first of equal minima.
+    occupancy.into_iter().enumerate().min_by_key(|&(_, occ)| occ).map_or(0, |(i, _)| i)
 }
 
-/// One shard: owns its sessions' engines, drains the ingress queue into
-/// micro-batched ticks, and sends each processed frame home on `egress`.
-fn worker_loop(
-    pipeline: &TrainedPipeline,
+/// A frame a [`Shard`] tick scored: the tag it was pushed with, the frame
+/// buffer (for the caller to reuse) and the monitor output (`None` during
+/// warm-up, exactly when [`EngineStep::complete`] is `None`).
+#[derive(Debug)]
+pub struct Scored<T> {
+    /// What the caller pushed with the frame.
+    pub tag: T,
+    /// The frame, handed back.
+    pub frame: KinematicSample,
+    /// The decision, once the session is warm.
+    pub output: Option<MonitorOutput>,
+}
+
+/// One shard: the engines of the sessions placed on one thread, and the
+/// rules that batch their frames into ticks without changing a bit of any
+/// session's decisions. [`ShardedMonitorPool`]'s worker threads each drive
+/// one, and so does each event loop of the network ingress service.
+///
+/// Sessions live in engine *slots*: a slot is bound to a session, and
+/// recycled for a new one once the session leaves. A tick holds at most
+/// one frame per slot, so a slot's second frame, a reset of the slot or
+/// its rebinding first runs the pending tick: a session's frames are
+/// scored in order, and its state rewinds only after its last frame is
+/// scored. Each scored frame waits, with the tag it was pushed with, until
+/// the caller takes it with [`Shard::take_scored`]. Every buffer is reused
+/// across ticks, so the steady state allocates nothing.
+pub struct Shard<T> {
+    pipeline: Arc<TrainedPipeline>,
     mode: ContextMode,
     threshold: f32,
     precision: Precision,
-    ingress: &Receiver<Job>,
-    egress: &Sender<Done>,
-    wake: WakeHook,
-) {
-    let mut state = ShardState {
-        engines: Vec::new(),
-        scratch: BatchScratch::new(pipeline),
-        steps: Vec::new(),
-        tick: Vec::new(),
-        stamps: Vec::new(),
-        in_tick: Vec::new(),
-        wake,
-    };
+    engines: Vec<InferenceEngine>,
+    scratch: BatchScratch,
+    steps: Vec<EngineStep>,
+    /// The tick under construction and each job's tag, index-aligned.
+    tick: Vec<BatchJob>,
+    tags: Vec<T>,
+    /// Per slot: whether the tick under construction holds its frame.
+    in_tick: Vec<bool>,
+    done: Vec<Scored<T>>,
+}
 
+impl<T> Shard<T> {
+    /// An empty shard serving `pipeline` in `mode`, with `config`'s
+    /// threshold and precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the threshold is not within `(0, 1)`, if
+    /// [`Precision::Int8`] is requested on a pipeline whose quantized twin
+    /// was never built ([`TrainedPipeline::quantize`]), or if stage 1 does
+    /// not start with an LSTM — the misconfiguration must fail where the
+    /// shard is built, not inside a tick.
+    pub fn new(pipeline: Arc<TrainedPipeline>, mode: ContextMode, config: ServeConfig) -> Self {
+        assert!(config.threshold > 0.0 && config.threshold < 1.0, "threshold must be in (0,1)");
+        assert!(
+            config.precision == Precision::F32 || pipeline.quantized.is_some(),
+            "Precision::Int8 requires TrainedPipeline::quantize() before a shard is built"
+        );
+        // Rejects a stage 1 whose projected rows the engines cannot window.
+        stage1_width(&pipeline);
+        Self {
+            scratch: BatchScratch::new(&pipeline),
+            pipeline,
+            mode,
+            threshold: config.threshold,
+            precision: config.precision,
+            engines: Vec::new(),
+            steps: Vec::new(),
+            tick: Vec::new(),
+            tags: Vec::new(),
+            in_tick: Vec::new(),
+            done: Vec::new(),
+        }
+    }
+
+    /// Engine slots created so far; the next fresh slot's index.
+    pub fn slot_count(&self) -> usize {
+        self.engines.len()
+    }
+
+    /// Binds `slot` to a new session: the fresh slot
+    /// ([`Shard::slot_count`]) grows the shard, and a recycled slot is
+    /// [reset](Shard::reset), even if that was done when its last session
+    /// left, since a stale window leaking into a new session would corrupt
+    /// silently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is past the fresh one.
+    pub fn bind(&mut self, slot: usize) {
+        if slot == self.engines.len() {
+            self.engines.push(InferenceEngine::with_precision(
+                &self.pipeline,
+                self.mode,
+                self.precision,
+            ));
+            self.in_tick.push(false);
+        } else {
+            self.reset(slot);
+        }
+    }
+
+    /// Rewinds `slot` to a cold engine, after scoring the frame the pending
+    /// tick holds for it, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slot never bound.
+    pub fn reset(&mut self, slot: usize) {
+        self.settle(slot);
+        self.engines[slot].reset(); // lint: allow(panic, reason = "documented panic on a slot never bound")
+    }
+
+    /// Adds `frame` of `slot`'s session to the pending tick, tagged with
+    /// `tag`, after running that tick if it already holds a frame of the
+    /// slot. `context` is the gesture label [`ContextMode::Perfect`]
+    /// requires; the other modes ignore it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slot never bound.
+    // lint: hot-path
+    pub fn push_frame(
+        &mut self,
+        slot: usize,
+        frame: KinematicSample,
+        context: Option<Gesture>,
+        tag: T,
+    ) {
+        self.settle(slot);
+        self.in_tick[slot] = true; // lint: allow(panic, reason = "documented panic on a slot never bound")
+        self.tick.push(BatchJob { engine: slot, frame, context });
+        self.tags.push(tag);
+    }
+
+    /// Runs the pending tick if it holds a frame of `slot`, so that frame
+    /// is scored before the slot takes another or rewinds.
+    // lint: hot-path
+    fn settle(&mut self, slot: usize) {
+        // lint: allow(panic, reason = "callers document the panic on a slot never bound")
+        if self.in_tick[slot] {
+            self.run_tick();
+        }
+    }
+
+    /// Runs the pending tick, if it holds any frame, as one
+    /// [`step_batch`] call. Each frame's output records the tick's time
+    /// divided by its frame count as `compute_ms`.
+    // lint: hot-path
+    pub fn run_tick(&mut self) {
+        if self.tick.is_empty() {
+            return;
+        }
+        // lint: allow(determinism, reason = "per-frame latency measurement around step_batch; the scores it brackets are clock-free")
+        let start = Instant::now();
+        step_batch(
+            &self.pipeline,
+            &mut self.engines,
+            &self.tick,
+            &mut self.scratch,
+            &mut self.steps,
+        );
+        let per_frame_ms = start.elapsed().as_secs_f32() * 1000.0 / self.tick.len() as f32;
+        for ((job, step), tag) in
+            self.tick.drain(..).zip(self.steps.iter()).zip(self.tags.drain(..))
+        {
+            self.in_tick[job.engine] = false; // lint: allow(panic, reason = "tick jobs carry slots push_frame checked")
+            let output = output_from_step(step, self.threshold, per_frame_ms);
+            self.done.push(Scored { tag, frame: job.frame, output });
+        }
+    }
+
+    /// Takes every frame scored since the last call, in the order scored.
+    // lint: hot-path
+    pub fn take_scored(&mut self) -> std::vec::Drain<'_, Scored<T>> {
+        self.done.drain(..)
+    }
+}
+
+/// One pool shard's thread: drives its [`Shard`] from the ingress queue in
+/// micro-batched ticks, and sends each scored frame home on `egress` as
+/// soon as it is scored.
+fn worker_loop(mut shard: Shard<Stamp>, ingress: &Receiver<Job>, egress: &Sender<Done>) {
     // `recv` blocks for work and errors once the pool drops its senders.
     while let Ok(first) = ingress.recv() {
         // Drain whatever else is already queued so co-resident sessions
         // land in the same micro-batched tick.
-        let mut next = Some(first);
-        loop {
-            let Some(job) = next.take() else {
-                match ingress.try_recv() {
-                    Ok(job) => next = Some(job),
-                    Err(_) => break,
-                }
-                continue;
-            };
+        for job in std::iter::once(first).chain(std::iter::from_fn(|| ingress.try_recv().ok())) {
             match job {
-                Job::Bind { slot } if slot == state.engines.len() => {
-                    state.engines.push(InferenceEngine::with_precision(pipeline, mode, precision));
-                    state.in_tick.push(false);
-                }
-                // A recycled slot was already reset by the Reset that freed
-                // it; reset it again anyway, since a stale window leaking
-                // into a new session would corrupt silently.
-                Job::Bind { slot } | Job::Reset { slot } => {
-                    // lint: allow(panic, reason = "the pool binds freed slots or the fresh one at engines.len(), and resets only bound slots")
-                    if state.in_tick[slot] {
-                        // The session's current frame must be scored (and
-                        // its decision emitted) before the state rewinds.
-                        run_tick(pipeline, threshold, &mut state, egress);
-                    }
-                    state.engines[slot].reset(); // lint: allow(panic, reason = "the pool binds freed slots or the fresh one at engines.len(), and resets only bound slots")
-                }
+                Job::Bind { slot } => shard.bind(slot),
+                Job::Reset { slot } => shard.reset(slot),
                 Job::Stall { dur } => std::thread::sleep(dur),
                 Job::Frame { slot, session, index, frame, context, submitted } => {
-                    // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
-                    if state.in_tick[slot] {
-                        // Second frame of the same session: the current
-                        // tick must complete first to keep per-session
-                        // frame order (and window validity).
-                        run_tick(pipeline, threshold, &mut state, egress);
-                    }
-                    // lint: allow(panic, reason = "the pool only routes slots it bound via Bind")
-                    state.in_tick[slot] = true;
-                    state.tick.push(BatchJob { engine: slot, frame, context });
-                    state.stamps.push((session, index, submitted));
+                    shard.push_frame(slot, frame, context, (session, index, submitted));
                 }
             }
+            // A job that ran the pending tick first.
+            send_home(&mut shard, egress);
         }
-        run_tick(pipeline, threshold, &mut state, egress);
+        shard.run_tick();
+        send_home(&mut shard, egress);
     }
 }
 
-/// Runs one micro-batched tick, sends each frame home with its decision,
-/// then calls the pool's wake hook, if one is installed.
+/// Sends every frame `shard` scored home, one [`Done`] each.
 // lint: hot-path
-fn run_tick(
-    pipeline: &TrainedPipeline,
-    threshold: f32,
-    state: &mut ShardState,
-    egress: &Sender<Done>,
-) {
-    if state.tick.is_empty() {
-        return;
-    }
-    // lint: allow(determinism, reason = "per-frame latency measurement around step_batch; the scores it brackets are clock-free")
-    let start = Instant::now();
-    step_batch(pipeline, &mut state.engines, &state.tick, &mut state.scratch, &mut state.steps);
-    let per_frame_ms = start.elapsed().as_secs_f32() * 1000.0 / state.tick.len() as f32;
-    for ((job, step), (session, index, submitted)) in
-        state.tick.drain(..).zip(state.steps.iter()).zip(state.stamps.drain(..))
-    {
-        state.in_tick[job.engine] = false; // lint: allow(panic, reason = "tick jobs carry slots the pool bound via Bind")
-        let output = output_from_step(step, threshold, per_frame_ms);
+fn send_home(shard: &mut Shard<Stamp>, egress: &Sender<Done>) {
+    for Scored { tag: (session, index, submitted), frame, output } in shard.take_scored() {
         let decision = Decision { session, frame: index, output };
         // The pool may already be gone at shutdown.
-        let _ = egress.send(Done { decision, submitted, frame: job.frame });
-    }
-    if let Some(wake) = state.wake.get() {
-        wake();
+        let _ = egress.send(Done { decision, submitted, frame });
     }
 }
 

@@ -521,40 +521,3 @@ fn submit_to_removed_session_panics() {
     pool.remove_session(0);
     let _ = pool.submit(0, &ds.demos[0].frames[0]);
 }
-
-/// The wake hook runs once a tick's decisions are sent home: a caller that
-/// drains only when woken, as the ingress event loop does, receives every
-/// decision and is never left waiting on one that is ready. A pool takes
-/// one hook.
-#[test]
-fn wake_hook_announces_every_decision() {
-    use std::time::Duration;
-    let (pipeline, ds) = tiny_pipeline(59);
-    let mut pool = ShardedMonitorPool::with_sessions(
-        Arc::new(pipeline),
-        ContextMode::Predicted,
-        ServeConfig { workers: 2, threshold: 0.5, precision: Precision::F32 },
-        2,
-    );
-    let (woken_tx, woken) = std::sync::mpsc::channel();
-    pool.set_wake_hook(move || {
-        let _ = woken_tx.send(());
-    });
-    let frames = 40;
-    let mut out = Vec::new();
-    for t in 0..frames {
-        for s in 0..2 {
-            pool.submit(s, &ds.demos[s].frames[t]).expect("Predicted mode");
-        }
-        while pool.in_flight() > 0 {
-            woken.recv_timeout(Duration::from_secs(10)).expect("a ready decision woke no one");
-            pool.poll_into(&mut out);
-        }
-    }
-    assert_eq!(out.len(), 2 * frames, "one decision per frame");
-
-    let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pool.set_wake_hook(|| {});
-    }));
-    assert!(second.is_err(), "a second wake hook must be refused");
-}

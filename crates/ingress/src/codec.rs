@@ -47,6 +47,11 @@ pub const WIRE_VERSION: u8 = 1;
 /// future v2 without letting a hostile 4 GiB prefix drive an allocation.
 pub const MAX_BODY: usize = 64 * 1024;
 
+/// Bytes of one encoded DECISION: the length prefix, version and kind,
+/// and the 14-byte payload.
+pub const DECISION_LEN: usize = 4 + 2 + DECISION_PAYLOAD;
+const DECISION_PAYLOAD: usize = 4 + 1 + 1 + 4 + 4;
+
 /// Sentinel context byte in FRAME meaning "no gesture label attached".
 const NO_CONTEXT: u8 = 0xFF;
 
@@ -142,7 +147,7 @@ pub enum ErrorCode {
     UnexpectedMessage = 5,
     /// FRAME sequence number was not the next expected one.
     BadSequence = 6,
-    /// FRAME context contradicts the pool's [`ContextMode`]: missing
+    /// FRAME context contradicts the server's [`ContextMode`]: missing
     /// under `Perfect`, present under `Predicted`/`NoContext`.
     ///
     /// [`ContextMode`]: context_monitor::ContextMode
@@ -220,8 +225,8 @@ pub struct DecisionMsg {
 }
 
 impl DecisionMsg {
-    /// Converts a pool decision (minus its session id, which the wire
-    /// carries implicitly — one session per connection) to wire form.
+    /// Converts a monitor output for FRAME `seq` (the session is implicit
+    /// on the wire — one session per connection) to wire form.
     // lint: hot-path
     pub fn from_decision(seq: u32, output: Option<&context_monitor::MonitorOutput>) -> DecisionMsg {
         match output {
@@ -385,6 +390,23 @@ impl Decoder {
         self.buf.put_slice(data);
     }
 
+    /// Whether [`Decoder::decode_next`] has something to return now: a
+    /// complete message, or a length prefix it rejects as oversized.
+    // lint: hot-path
+    pub fn has_message(&self) -> bool {
+        self.declared()
+            .is_some_and(|body_len| body_len > MAX_BODY || self.buf.len() >= 4 + body_len)
+    }
+
+    /// The body length the buffered length prefix declares, once all four
+    /// of its bytes are in.
+    // lint: hot-path
+    fn declared(&self) -> Option<usize> {
+        let mut prefix = [0u8; 4];
+        prefix.copy_from_slice(self.buf.chunk().get(..4)?);
+        Some(u32::from_le_bytes(prefix) as usize)
+    }
+
     /// Decodes the next complete message, if one is buffered.
     ///
     /// Returns `Ok(None)` when more bytes are needed, `Ok(Some(_))` for a
@@ -396,15 +418,9 @@ impl Decoder {
     /// or reserves anything for the message body.
     // lint: hot-path
     pub fn decode_next(&mut self, frame: &mut FrameMsg) -> Result<Option<Decoded>, ProtoError> {
-        if self.buf.len() < 4 {
+        let Some(body_len) = self.declared() else {
             return Ok(None);
-        }
-        let mut prefix = [0u8; 4];
-        match self.buf.chunk().get(..4) {
-            Some(head) => prefix.copy_from_slice(head),
-            None => return Ok(None),
-        }
-        let body_len = u32::from_le_bytes(prefix) as usize;
+        };
         if body_len > MAX_BODY {
             return Err(ProtoError::Oversized { declared: body_len });
         }
@@ -598,7 +614,7 @@ pub fn encode_busy(out: &mut BytesMut, active: u32, cap: u32) {
 /// Encodes a DECISION — the server's per-frame path.
 // lint: hot-path
 pub fn encode_decision(out: &mut BytesMut, msg: &DecisionMsg) {
-    put_header(out, KIND_DECISION, 4 + 1 + 1 + 4 + 4);
+    put_header(out, KIND_DECISION, DECISION_PAYLOAD);
     out.put_u32_le(msg.seq);
     out.put_u8((msg.warm as u8) | ((msg.alert as u8) << 1));
     out.put_u8(msg.gesture);

@@ -1,22 +1,25 @@
-//! Network ingress: the [`ShardedMonitorPool`] as a real service.
+//! Network ingress: the monitor as a real service.
 //!
 //! Everything before this crate multiplexes surgical-robot telemetry
 //! streams onto the monitor fleet *in process*. This crate puts a wire
 //! in the middle without giving up the repo's core guarantee: the
 //! decision stream a client reads off the socket is **bit-identical**
-//! to what an in-process pool produces for the same frames
+//! to what the in-process pool produces for the same frames
 //! (`tests/e2e.rs`, gated in CI by `repro_serve --smoke`).
 //!
 //! - [`codec`] — length-prefixed versioned wire protocol on the
 //!   vendored `bytes`; allocation-free encode/decode on the per-frame
 //!   path; malformed input is a typed [`codec::ProtoError`], never a
 //!   panic.
-//! - [`server`] — std-net TCP front end: one nonblocking event loop
-//!   thread owns the listener, every connection and the pool, so the
-//!   service runs `workers + 1` threads at any connection count. It
-//!   blocks in `poll(2)` until a socket is ready or a shard worker signals
-//!   a decision, so an idle server uses no CPU; its admission controller
-//!   *sheds* (typed BUSY) instead of delaying admitted sessions.
+//! - [`server`] — std-net TCP front end: `workers` nonblocking event
+//!   loops, each owning the connections placed on it and those sessions'
+//!   engines, so a FRAME is read, scored and answered on one thread and
+//!   the service runs `workers` threads at any connection count. A loop
+//!   blocks in `poll(2)` until one of its sockets is ready or it is handed
+//!   a new connection, so an idle server uses no CPU; a client that never
+//!   reads is pushed back by TCP flow control, not buffered; and the
+//!   admission controller *sheds* (typed BUSY) instead of delaying
+//!   admitted sessions.
 //! - [`client`] — blocking client used by tests and tools.
 //! - [`loadgen`] — closed-loop load generator: hundreds of concurrent
 //!   synthetic sessions, per-frame round-trip latency quantiles, shed
@@ -24,9 +27,7 @@
 //!   over it).
 //!
 //! The crate is Unix-only: the server waits with `poll(2)`, its one FFI
-//! call, and wakes itself through a `std::os::unix` socket pair.
-//!
-//! [`ShardedMonitorPool`]: context_monitor::ShardedMonitorPool
+//! call, and wakes a loop through a `std::os::unix` socket pair.
 
 pub mod client;
 pub mod codec;

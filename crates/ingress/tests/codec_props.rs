@@ -9,7 +9,7 @@ use gestures::{Gesture, ALL_GESTURES, NUM_GESTURES};
 use ingress::codec::{
     encode_busy, encode_bye, encode_decision, encode_error, encode_frame, encode_goodbye,
     encode_hello, encode_welcome, DecisionMsg, Decoded, Decoder, ErrorCode, FrameMsg, ProtoError,
-    KIND_FRAME, MAX_BODY, WIRE_VERSION,
+    DECISION_LEN, KIND_FRAME, MAX_BODY, WIRE_VERSION,
 };
 use ingress::loadgen::synthetic_sample_into;
 use kinematics::KinematicSample;
@@ -120,7 +120,14 @@ proptest! {
         let mut got = Vec::new();
         for piece in wire.chunk().chunks(chunk) {
             dec.extend(piece);
-            while let Some(m) = decode_one(&mut dec, &mut frame) {
+            loop {
+                // `has_message` announces exactly the decodes that succeed.
+                let announced = dec.has_message();
+                let Some(m) = decode_one(&mut dec, &mut frame) else {
+                    prop_assert!(!announced);
+                    break;
+                };
+                prop_assert!(announced);
                 got.push(m);
             }
         }
@@ -164,9 +171,11 @@ proptest! {
         let mut dec = Decoder::new();
         let mut frame = FrameMsg::default();
         dec.extend(&wire.chunk()[..cut]);
+        prop_assert!(!dec.has_message());
         prop_assert_eq!(dec.decode_next(&mut frame), Ok(None));
         // The remainder completes it.
         dec.extend(&wire.chunk()[cut..]);
+        prop_assert!(dec.has_message());
         prop_assert!(matches!(dec.decode_next(&mut frame), Ok(Some(_))));
     }
 
@@ -218,11 +227,19 @@ fn oversized_length_prefix_rejected_before_any_buffering() {
     // Claim a 512 MiB body; send only the prefix.
     let declared = 512usize * 1024 * 1024;
     dec.extend(&(declared as u32).to_le_bytes());
+    assert!(dec.has_message(), "the rejection is ready without the body");
     assert_eq!(dec.decode_next(&mut frame), Err(ProtoError::Oversized { declared }));
     // Nothing was buffered beyond the 4 prefix bytes — the attack never
     // drove an allocation.
     assert!(dec.pending() <= 4, "oversized prefix must not grow the buffer");
     assert!(declared > MAX_BODY);
+}
+
+#[test]
+fn decision_is_decision_len_bytes() {
+    let mut wire = BytesMut::new();
+    encode_decision(&mut wire, &DecisionMsg::from_decision(9, None));
+    assert_eq!(wire.len(), DECISION_LEN);
 }
 
 #[test]

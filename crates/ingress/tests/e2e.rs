@@ -164,6 +164,23 @@ fn socket_stream_bit_identical_to_in_process_pool() {
     assert_eq!(stats.decisions, (ds.demos[0].len() + ds.demos[1].len()) as u64);
 }
 
+/// Two sessions placed on one event loop share its engines' shard and its
+/// ticks, and each stream still equals the in-process pool's bit for bit.
+#[test]
+fn sessions_sharing_one_loop_bit_identical_to_in_process_pool() {
+    let mode = ContextMode::Predicted;
+    let server = start_server(mode, 8, 1);
+    let addr = server.local_addr().to_string();
+    let (a, b) = std::thread::scope(|scope| {
+        let ha = scope.spawn(|| socket_session_keys(&addr, mode, 0));
+        let hb = scope.spawn(|| socket_session_keys(&addr, mode, 1));
+        (ha.join().expect("session 0"), hb.join().expect("session 1"))
+    });
+    let want = in_process_keys(mode, 2, 1);
+    assert_eq!(a.0, want[0], "session 0: socket stream differs from in-process pool");
+    assert_eq!(b.0, want[1], "session 1: socket stream differs from in-process pool");
+}
+
 #[test]
 fn perfect_context_over_the_wire_bit_identical() {
     let mode = ContextMode::Perfect;

@@ -1,7 +1,7 @@
-//! Resource shape of the ingress service: the event loop and the pool's
-//! shard workers are its only threads at any connection count, a finished
-//! session leaves no memory behind, an idle server uses no CPU, and
-//! dropping it wakes the loop's wait.
+//! Resource shape of the ingress service: its `workers` event loops are its
+//! only threads at any connection count, a finished session leaves no
+//! memory behind, an idle server uses no CPU, and dropping it wakes every
+//! loop's wait.
 //!
 //! The test reads process-wide `/proc/self` counters, so it must stay the
 //! only test in this file: a test running beside it would add its own
@@ -73,7 +73,7 @@ fn close(mut conn: Connection) {
 }
 
 #[test]
-fn workers_plus_one_threads_and_flat_memory_across_sessions() {
+fn workers_threads_and_flat_memory_across_sessions() {
     let before = status("Threads");
     let ds = generate(&GeneratorConfig::fast(Task::Suturing).with_seed(11));
     let mut cfg = MonitorConfig::fast(FeatureSet::CRG).with_seed(11 ^ 0xA5);
@@ -93,12 +93,8 @@ fn workers_plus_one_threads_and_flat_memory_across_sessions() {
     )
     .expect("bind ingress server");
     let addr = server.local_addr().to_string();
-    let serving = before + workers as u64 + 1;
-    assert_eq!(
-        threads_settling_at(serving),
-        serving,
-        "start adds the event loop and {workers} shard workers"
-    );
+    let serving = before + workers as u64;
+    assert_eq!(threads_settling_at(serving), serving, "start adds {workers} event loops");
 
     let sessions: Vec<Connection> = (0..8).map(|_| open(&addr)).collect();
     assert_eq!(status("Threads"), serving, "open sessions must not add threads");
@@ -115,15 +111,15 @@ fn workers_plus_one_threads_and_flat_memory_across_sessions() {
     let grown_kb = status("VmRSS").saturating_sub(rss_kb);
     assert!(grown_kb < 2048, "300 sequential sessions grew VmRSS by {grown_kb} kB");
 
-    // Two admitted sessions that send nothing: the loop and the shard
-    // workers must all be blocked, not polling on a timer.
+    // Two admitted sessions that send nothing, one on each loop: the loops
+    // must both be blocked, not polling on a timer.
     let idle: Vec<Connection> = (0..2).map(|_| open(&addr)).collect();
     let cpu0 = cpu_ns();
     std::thread::sleep(Duration::from_secs(1));
     let idle_ms = (cpu_ns() - cpu0) as f64 / 1e6;
     assert!(idle_ms < 10.0, "an idle server with 2 sessions used {idle_ms:.2} ms of CPU in 1 s");
 
-    // Dropping the server must wake the loop's wait. Drop it on another
+    // Dropping the server must wake every loop's wait. Drop it on another
     // thread, so a loop that never wakes fails the test instead of hanging.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {

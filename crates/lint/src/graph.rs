@@ -16,8 +16,12 @@
 //!   registered the pair, so the only workspace code the call can still
 //!   reach is a trait *default* method body named `name` (inherited
 //!   without an override); failing that, the target is derived or
-//!   external code. A lowercase qualifier is a module path segment and
-//!   falls back wide — every def named `name`;
+//!   external code. A lowercase qualifier is a module path segment. When
+//!   the caller's module declares an inline `mod q { … }` in the same file
+//!   and `q` defines a free fn `name`, `q::name` resolves to those defs
+//!   only: there Rust resolves `q` to that child module (a `use` of the
+//!   same name beside it would not compile). Otherwise it falls back wide
+//!   — every def named `name`;
 //! * bare `name(...)` calls resolve to every *free* function named
 //!   `name` — a bare call can never reach a method, so excluding methods
 //!   loses nothing; closure and fn-pointer invocations resolve to the
@@ -104,7 +108,13 @@ impl CallGraph {
         let mut assoc: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut trait_defaults: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut by_container: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+        // Free defs inside inline mods, by (file, module path, name): what
+        // a `q::name` call beside `mod q { … }` reaches.
+        let mut inline: BTreeMap<(usize, &[String], &str), Vec<usize>> = BTreeMap::new();
         for (i, d) in defs.iter().enumerate() {
+            if d.item.container.is_none() && !d.item.module.is_empty() {
+                inline.entry((d.file, &d.item.module, &d.item.name)).or_default().push(i);
+            }
             match &d.item.container {
                 Some(c) => {
                     assoc.entry(&d.item.name).or_default().push(i);
@@ -126,7 +136,10 @@ impl CallGraph {
             for (call_i, call) in d.item.calls.iter().enumerate() {
                 let name = call.name.as_str();
                 let mut targets: Vec<usize> = if let Some(q) = &call.qualifier {
-                    match by_container.get(&(q.as_str(), name)) {
+                    let child: Vec<String> =
+                        d.item.module.iter().chain(std::iter::once(q)).cloned().collect();
+                    let in_child = inline.get(&(d.file, child.as_slice(), name));
+                    match in_child.or_else(|| by_container.get(&(q.as_str(), name))) {
                         Some(t) => t.clone(),
                         // TitleCase qualifier = type/trait with no such
                         // member in the workspace: only an inherited trait
@@ -235,6 +248,34 @@ mod tests {
             "impl Mat { fn zeros(n: usize) {} }\nimpl Other { fn zeros(n: usize) {} }\nfn gemm(n: usize) {}\n",
         ]);
         assert_eq!(names_of(&g, "root"), ["Mat::zeros", "gemm"]);
+    }
+
+    #[test]
+    fn module_calls_narrow_to_the_inline_child_module_that_defines_them() {
+        // The shape of `kernels/int8.rs` beside `kernels.rs`: each file
+        // declares its own `mod avx2` with a `gemm_abt`.
+        let int8 = "fn run() { avx2::gemm_abt(); }\n\
+                    mod avx2 { pub unsafe fn gemm_abt() {} }\n\
+                    mod inner {\n    fn nested() { avx2::gemm_abt(); simd::gemm_abt(); }\n    \
+                    mod simd { fn gemm_abt() {} }\n}\n";
+        let f32 = "mod avx2 { pub unsafe fn gemm_abt() {} }\nfn other() { avx2::gemm_abt(); }\n";
+        let g = graph(&[int8, f32]);
+        // (file, module path) of each def call site `call` of `from` reaches.
+        let targets = |from: &str, call: usize| -> Vec<(usize, Vec<String>)> {
+            let i = g.defs.iter().position(|d| d.item.name == from).unwrap();
+            let reached = g.edges[i].iter().filter(|e| e.call == call);
+            reached.map(|e| (g.defs[e.to].file, g.defs[e.to].item.module.clone())).collect()
+        };
+        let path = |p: &[&str]| p.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(targets("run", 0), [(0, path(&["avx2"]))], "only this file's child module");
+        assert_eq!(targets("other", 0), [(1, path(&["avx2"]))]);
+        // Inside `inner`, `avx2` is no child module, so that call falls
+        // back wide; `simd` is one.
+        assert_eq!(
+            targets("nested", 0),
+            [(0, path(&["avx2"])), (0, path(&["inner", "simd"])), (1, path(&["avx2"]))]
+        );
+        assert_eq!(targets("nested", 1), [(0, path(&["inner", "simd"]))]);
     }
 
     #[test]

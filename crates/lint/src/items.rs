@@ -38,6 +38,9 @@ pub struct FnItem {
     pub in_trait: bool,
     /// Whether the item sits inside a `#[cfg(test)]` / `#[test]` span.
     pub is_test: bool,
+    /// The inline `mod name { … }` blocks of its file that enclose the
+    /// item, outermost first; empty at the file's top level.
+    pub module: Vec<String>,
     /// Call sites inside the body, in source order.
     pub calls: Vec<CallSite>,
 }
@@ -84,10 +87,17 @@ struct Container {
     is_trait: bool,
 }
 
+/// An inline `mod name { … }` block's name and body span.
+struct InlineMod {
+    name: String,
+    body: (usize, usize),
+}
+
 /// Parses every `fn` item in `file`.
 pub fn parse_fns(file: &SourceFile) -> Vec<FnItem> {
     let b = file.masked.as_bytes();
     let containers = find_containers(file);
+    let mods = find_inline_mods(file);
     let mut out = Vec::new();
     for fn_off in file.fn_tokens() {
         // `fn(` / `fn (` is a function-pointer type, not an item.
@@ -135,6 +145,13 @@ pub fn parse_fns(file: &SourceFile) -> Vec<FnItem> {
             Some((s, e)) => find_calls(file, s, e, container.as_deref()),
             None => Vec::new(),
         };
+        // Inline mods nest, so the enclosing ones in source order run
+        // outermost first.
+        let module = mods
+            .iter()
+            .filter(|m| fn_off > m.body.0 && fn_off < m.body.1)
+            .map(|m| m.name.clone())
+            .collect();
         out.push(FnItem {
             name,
             container,
@@ -144,6 +161,7 @@ pub fn parse_fns(file: &SourceFile) -> Vec<FnItem> {
             has_self: first_param_is_self(file, b, paren, close_paren),
             in_trait: enclosing.map(|c| c.is_trait).unwrap_or(false),
             is_test: file.in_test(fn_off),
+            module,
             calls,
         });
     }
@@ -185,6 +203,28 @@ fn first_param_is_self(file: &SourceFile, b: &[u8], paren: usize, close_paren: u
         }
         return &file.masked[s..e] == "self";
     }
+}
+
+/// Finds inline `mod name { … }` blocks, in source order. `mod name;`
+/// declares a module in another file and has no body here.
+fn find_inline_mods(file: &SourceFile) -> Vec<InlineMod> {
+    let b = file.masked.as_bytes();
+    let mut out = Vec::new();
+    for off in token_offsets(&file.masked, "mod") {
+        let Some((start, c)) = next_token(b, off + 3) else { continue };
+        if !is_ident(c) {
+            continue;
+        }
+        let mut end = start;
+        while end < b.len() && is_ident(b[end]) {
+            end += 1;
+        }
+        let Some((open, b'{')) = next_token(b, end) else { continue };
+        if let Some(close) = matching_brace(b, open) {
+            out.push(InlineMod { name: file.masked[start..end].to_string(), body: (open, close) });
+        }
+    }
+    out
 }
 
 /// Finds `impl`/`trait` blocks and their self-type/trait names. For
@@ -515,6 +555,25 @@ mod tests {
         let names: Vec<&str> = items[0].calls.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"make_grid"), "{:#?}", items[0].calls);
         assert!(names.contains(&"len"), "{:#?}", items[0].calls);
+    }
+
+    #[test]
+    fn inline_module_paths_are_recorded() {
+        let src = "fn top() {}\nmod a {\n    fn in_a() {}\n    mod b { fn in_b() {} }\n    fn after_b() {}\n}\n\
+                   mod elsewhere;\nfn bottom() {}\n";
+        let paths: Vec<(String, Vec<String>)> =
+            fns(src).into_iter().map(|f| (f.name, f.module)).collect();
+        let path = |p: &[&str]| p.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            paths,
+            [
+                ("top".to_string(), path(&[])),
+                ("in_a".to_string(), path(&["a"])),
+                ("in_b".to_string(), path(&["a", "b"])),
+                ("after_b".to_string(), path(&["a"])),
+                ("bottom".to_string(), path(&[])),
+            ]
+        );
     }
 
     #[test]

@@ -237,16 +237,19 @@ mod avx2 {
     /// # Safety
     ///
     /// AVX2 must be available and `row[kk..kk + 16]` must be in bounds.
+    // lint: hot-path
     #[target_feature(enable = "avx2")]
     unsafe fn load16_i16(row: &[i8], kk: usize) -> __m256i {
         debug_assert!(kk + STEP <= row.len());
         // SAFETY: the caller guarantees 16 readable bytes at `row[kk]`.
+        // lint: allow(hot-path, reason = "pointer .add(), not Mat::add -- receiver-blind name collision")
         let bytes = unsafe { _mm_loadu_si128(row.as_ptr().add(kk).cast()) };
         _mm256_cvtepi8_epi16(bytes)
     }
 
     /// Serially reduces the eight i32 lanes of `v` (exact integer sums, so
     /// the reduction order is immaterial to the result).
+    // lint: hot-path
     #[target_feature(enable = "avx2")]
     fn hsum_epi32(v: __m256i) -> i32 {
         let mut lanes = [0i32; 8];
@@ -260,6 +263,7 @@ mod avx2 {
     /// lane-sum of `acc[r]` — three `hadd` levels plus a 128-bit half swap.
     /// Every op is an exact i32 add, so this equals eight serial
     /// [`hsum_epi32`] calls bit for bit.
+    // lint: hot-path
     #[target_feature(enable = "avx2")]
     fn hsum8_epi32(acc: [__m256i; JB]) -> __m256i {
         let h01 = _mm256_hadd_epi32(acc[0], acc[1]);
@@ -283,6 +287,7 @@ mod avx2 {
     ///
     /// AVX2 must be available at runtime; dimension checks are the public
     /// wrappers' job.
+    // lint: hot-path
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gemm_abt(
         m: usize,
@@ -369,6 +374,7 @@ mod neon {
     ///
     /// NEON must be available at runtime; dimension checks are the public
     /// wrappers' job.
+    // lint: hot-path
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn gemm_abt(
         m: usize,
@@ -387,6 +393,7 @@ mod neon {
                 let mut acc = [vdupq_n_s32(0); JB];
                 for kk in (0..kb).step_by(STEP) {
                     // SAFETY: `kk + 8 <= kb <= k`, the row length.
+                    // lint: allow(hot-path, reason = "pointer .add(), not Mat::add -- receiver-blind name collision")
                     let av = unsafe { vld1_s8(a_row.as_ptr().add(kk)) };
                     for (r, slot) in acc.iter_mut().enumerate() {
                         // SAFETY: same in-bounds argument for B row `j + r`.

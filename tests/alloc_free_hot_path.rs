@@ -7,7 +7,7 @@
 //! (gate apply → pool submit → flush drain → decision routing), where
 //! the counting allocator also observes the shard worker thread — and
 //! around a socket round trip through the ingress server, where it
-//! observes the client, the event loop and the shard worker.
+//! observes the client and the event loop that scores the frame.
 //!
 //! This file must contain exactly one test: the counting allocator is
 //! process-global, and a concurrently running test would pollute the count.
@@ -322,10 +322,10 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
 
     // Part 5: the wire. One closed-loop round trip per frame through a real
     // socket: client encode + send, the ingress event loop's read → decode
-    // → submit, the shard worker's step, the loop's route → encode →
-    // write, and the client's read + decode. The allocator counts the
-    // client, loop and shard threads alike, so the whole round trip must
-    // be allocation-free once warm.
+    // → tick (the engine step, on the loop's own thread; there is no shard
+    // thread) → encode → write, and the client's read + decode. The
+    // allocator counts the client and loop threads alike, so the whole
+    // round trip must be allocation-free once warm.
     drop(pool);
     let server = IngressServer::start(
         Arc::clone(&pipeline),
