@@ -5,9 +5,10 @@
 //! real TCP front end, whose event loops each score the frames of their own
 //! connections: framed wire protocol, admission control that sheds
 //! excess sessions with a typed BUSY (never delaying admitted ones), and
-//! a closed-loop load generator that sweeps offered sessions to find the
-//! service's knee. Latency here is end-to-end — client send to DECISION
-//! receipt over the socket — not just compute time.
+//! a load generator that paces every session at the paper's 30 Hz to find
+//! how many sessions the service keeps within one frame interval. Latency
+//! here is end-to-end — a FRAME's scheduled send to its DECISION's receipt
+//! over the socket — not just compute time.
 //!
 //! `--smoke` (the CI gate) asserts, on a small fixed-seed pipeline:
 //!
@@ -18,8 +19,13 @@
 //! 3. a malformed client gets a typed ERROR + close, after which the
 //!    service still serves bit-exact decisions.
 //!
-//! The default mode sweeps offered load, locates the throughput knee,
-//! and writes `BENCH_ingress.json` (f32 tier) or `BENCH_ingress_int8.json`
+//! The default mode doubles the offered sessions from 1 until the p99
+//! decision latency of a level passes one 30 Hz frame interval (33.3 ms),
+//! or 2,048 sessions. Each level runs `max(60, ⌈2000 / sessions⌉)` frames
+//! per session, so at least 20 samples lie beyond every p99. The knee is
+//! the last level whose p99 stays within the interval. The run then caps
+//! admission at the knee, offers twice as many sessions, and writes
+//! `BENCH_ingress.json` (f32 tier) or `BENCH_ingress_int8.json`
 //! (`MONITOR_PRECISION=int8`) at the repo root.
 
 use bench::{header, jigsaws_dataset, suturing_monitor_cfg, Scale};
@@ -154,7 +160,8 @@ fn socket_session_keys(addr: &str, ds: &Dataset, s: usize) -> Vec<Key> {
 fn print_report(label: &str, r: &LoadReport) {
     println!(
         "{label}: offered {} admitted {} shed {} | {} decisions in {:.2}s ({:.0}/s) | \
-         e2e p50 {:.3} ms p99 {:.3} ms max {:.3} ms | {} deadline misses, {} errors",
+         e2e p50 {:.3} ms p99 {:.3} ms max {:.3} ms over {} | send lag p99 {:.3} ms | \
+         {} deadline misses, {} errors",
         r.offered,
         r.admitted,
         r.shed,
@@ -164,6 +171,8 @@ fn print_report(label: &str, r: &LoadReport) {
         r.latency.p50_ms,
         r.latency.p99_ms,
         r.latency.max_ms,
+        r.latency.samples,
+        r.send_lag.p99_ms,
         r.deadline_misses,
         r.errors
     );
@@ -249,13 +258,23 @@ fn smoke() {
     );
 }
 
+/// Most sessions the sweep offers.
+const MAX_SESSIONS: usize = 2048;
+
+/// Frames per session at a level of `sessions`: at least 60, and enough for
+/// 2,000 latency samples, so at least 20 lie beyond the level's p99.
+fn frames_at(sessions: usize) -> usize {
+    60.max(2000usize.div_ceil(sessions))
+}
+
 struct Row {
     sessions: usize,
+    frames: usize,
     report: LoadReport,
 }
 
-/// Sweeps offered sessions against a high-cap server to find the knee,
-/// then demonstrates admission control by capping the same workload.
+/// Sweeps paced sessions against a high-cap server to find the knee, then
+/// demonstrates admission control by capping the same workload there.
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         smoke();
@@ -268,28 +287,26 @@ fn main() {
     header("training the Suturing monitor");
     let (pipeline, _ds) = train_pipeline(scale, precision);
 
-    let (frames, loops, sweep): (usize, usize, &[usize]) = match scale {
-        Scale::Fast => (60, 4, &[1, 2, 4, 8, 16, 32, 64]),
-        Scale::Full => (200, 4, &[1, 2, 4, 8, 16, 32, 64, 128]),
-    };
-    let deadline_ms = 33.3; // one 30 Hz frame interval, end-to-end
-
+    let loops = 4;
+    let budget_ms = loadgen::FRAME_PERIOD.as_secs_f64() * 1e3;
     header(&format!(
-        "load sweep — closed-loop sessions over TCP ({cores} host core(s), {loops} event \
+        "load sweep — sessions paced at 30 Hz over TCP ({cores} host core(s), {loops} event \
          loops, {precision} tier, {} backend)",
         nn::kernels::gemm_backend_label()
     ));
     let mut rows: Vec<Row> = Vec::new();
-    for &sessions in sweep {
+    let mut sessions = 1;
+    loop {
         // A fresh server per level: no warm engine state leaks across rows.
         let server = start_server(&pipeline, 2 * sessions, loops, precision);
+        let frames = frames_at(sessions);
         let report = loadgen::run(
             &server.local_addr().to_string(),
             &LoadgenConfig {
                 sessions,
                 frames_per_session: frames,
                 threads: sessions.min(2 * cores),
-                deadline_ms,
+                deadline_ms: budget_ms,
                 ..LoadgenConfig::default()
             },
         )
@@ -297,63 +314,59 @@ fn main() {
         print_report(&format!("{sessions:>4} sessions"), &report);
         assert_eq!(report.shed, 0, "the sweep server is never capacity-limited");
         assert_eq!(report.errors, 0);
-        rows.push(Row { sessions, report });
+        let timely = report.latency.p99_ms <= budget_ms;
+        rows.push(Row { sessions, frames, report });
+        if !timely || sessions == MAX_SESSIONS {
+            break;
+        }
+        sessions *= 2;
     }
 
-    // The knee: the last offered level where throughput still scaled
-    // (>= 20% over the previous level) and the p99 stayed within one
-    // frame interval. Past it, added sessions only buy queueing delay.
-    let mut knee = rows.first().map(|r| r.sessions).unwrap_or(1);
-    for pair in rows.windows(2) {
-        let (prev, next) = (&pair[0], &pair[1]);
-        let scaled = next.report.decisions_per_sec >= 1.2 * prev.report.decisions_per_sec;
-        let timely = next.report.latency.p99_ms <= deadline_ms;
-        if scaled && timely {
-            knee = next.sessions;
-        }
-    }
-    println!(
-        "\nknee: ~{knee} concurrent sessions (throughput still scaling, p99 <= {deadline_ms} ms)"
-    );
+    // The knee: the last level whose p99 stayed within one frame interval.
+    let knee = rows
+        .iter()
+        .take_while(|r| r.report.latency.p99_ms <= budget_ms)
+        .last()
+        .map_or(0, |r| r.sessions);
+    println!("\nknee: {knee} concurrent sessions at 30 Hz with p99 <= {budget_ms:.1} ms");
 
     // Admission-control demo at the knee: cap the server there, offer
     // double, and show shed sessions never degrade admitted ones.
     header("admission control at the knee (offer 2x, shed the excess)");
-    let server = start_server(&pipeline, knee, loops, precision);
+    let cap = knee.max(1);
+    let server = start_server(&pipeline, cap, loops, precision);
     let shed_demo = loadgen::run(
         &server.local_addr().to_string(),
         &LoadgenConfig {
-            sessions: 2 * knee,
-            frames_per_session: frames,
-            threads: (2 * knee).min(4 * cores),
-            deadline_ms,
+            sessions: 2 * cap,
+            frames_per_session: frames_at(cap),
+            threads: (2 * cap).min(4 * cores),
+            deadline_ms: budget_ms,
             ..LoadgenConfig::default()
         },
     )
     .expect("loadgen");
     print_report("2x knee", &shed_demo);
 
-    write_summary(&rows, &shed_demo, knee, cores, loops, frames, deadline_ms, precision);
+    write_summary(&rows, &shed_demo, knee, cores, loops, budget_ms, precision);
 }
 
 /// Hand-formatted JSON summary (no serde in the bench crate) written to
 /// the repo root next to the other `BENCH_*.json` files, one file per tier
 /// so a sweep on one tier never overwrites the other's.
-#[allow(clippy::too_many_arguments)]
 fn write_summary(
     rows: &[Row],
     shed_demo: &LoadReport,
     knee: usize,
     cores: usize,
     loops: usize,
-    frames: usize,
-    deadline_ms: f64,
+    budget_ms: f64,
     precision: Precision,
 ) {
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"bench\": \"ingress\",\n  \"cores\": {cores},\n  \"event_loops\": {loops},\n  \
-         \"frames_per_session\": {frames},\n  \"deadline_ms\": {deadline_ms},\n  \
+         \"frame_hz\": 30,\n  \"deadline_ms\": {budget_ms:.3},\n  \
          \"tier\": \"{precision}\",\n  \"gemm_backend\": \"{}\",\n  \
          \"knee_sessions\": {knee},\n  \"rows\": [\n",
         nn::kernels::gemm_backend_label()
@@ -361,28 +374,33 @@ fn write_summary(
     for (idx, row) in rows.iter().enumerate() {
         let r = &row.report;
         json.push_str(&format!(
-            "    {{\"sessions\": {}, \"admitted\": {}, \"shed\": {},\n     \
-             \"decisions_per_sec\": {:.1}, \"e2e_p50_ms\": {:.4}, \"e2e_p99_ms\": {:.4},\n     \
-             \"e2e_max_ms\": {:.4}, \"deadline_misses\": {}}}{}\n",
+            "    {{\"sessions\": {}, \"frames_per_session\": {}, \"admitted\": {}, \
+             \"shed\": {},\n     \"decisions_per_sec\": {:.1}, \"samples\": {}, \
+             \"e2e_p50_ms\": {:.4}, \"e2e_p99_ms\": {:.4},\n     \"e2e_max_ms\": {:.4}, \
+             \"send_lag_p99_ms\": {:.4}, \"deadline_misses\": {}}}{}\n",
             row.sessions,
+            row.frames,
             r.admitted,
             r.shed,
             r.decisions_per_sec,
+            r.latency.samples,
             r.latency.p50_ms,
             r.latency.p99_ms,
             r.latency.max_ms,
+            r.send_lag.p99_ms,
             r.deadline_misses,
             if idx + 1 < rows.len() { "," } else { "" },
         ));
     }
     json.push_str(&format!(
         "  ],\n  \"shed_demo\": {{\"offered\": {}, \"admitted\": {}, \"shed\": {},\n    \
-         \"shed_rate\": {:.3}, \"e2e_p50_ms\": {:.4}, \"e2e_p99_ms\": {:.4},\n    \
-         \"deadline_misses\": {}}}\n}}\n",
+         \"shed_rate\": {:.3}, \"samples\": {}, \"e2e_p50_ms\": {:.4}, \
+         \"e2e_p99_ms\": {:.4},\n    \"deadline_misses\": {}}}\n}}\n",
         shed_demo.offered,
         shed_demo.admitted,
         shed_demo.shed,
         shed_demo.shed as f64 / shed_demo.offered.max(1) as f64,
+        shed_demo.latency.samples,
         shed_demo.latency.p50_ms,
         shed_demo.latency.p99_ms,
         shed_demo.deadline_misses,

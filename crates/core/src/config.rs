@@ -44,9 +44,9 @@ impl std::fmt::Display for ErrorModelKind {
 /// ([`crate::pipeline::TrainedPipeline::quantize`]): per-channel int8
 /// weights and calibrated activation scales over exact integer GEMMs
 /// (`nn::quant`), trading a bounded, parity-gated accuracy delta for
-/// higher sessions-per-core density. Both tiers keep the workspace's
-/// determinism contract — outputs are bit-identical across GEMM backends,
-/// batch sizes, and worker counts *within* a tier.
+/// more sessions served within the 30 Hz frame interval. Both tiers keep
+/// the workspace's determinism contract — outputs are bit-identical
+/// across GEMM backends, batch sizes, and worker counts *within* a tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum Precision {
     /// Full-precision f32 inference (default; the accuracy reference).

@@ -336,6 +336,12 @@ impl TrainedPipeline {
         )
     }
 
+    /// Manipulators per frame this pipeline serves: both normalizers were
+    /// fitted on frames with this many arms.
+    pub fn manipulators(&self) -> usize {
+        self.in_dim / self.config.features.dims_per_manipulator()
+    }
+
     /// Gesture classes with dedicated error classifiers.
     pub fn dedicated_gestures(&self) -> Vec<Gesture> {
         self.error_nets.keys().filter_map(|&g| Gesture::from_index(g)).collect()

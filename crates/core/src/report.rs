@@ -3,8 +3,8 @@
 
 use crate::pipeline::{ContextMode, MonitorRun, TrainedPipeline};
 use eval::{
-    auc, early_detection_rate, frames_to_ms, gesture_jitter, measure_reactions, BinaryCounts,
-    ConfusionMatrix, ErrorEvent, RocCurve, Summary,
+    auc, frames_to_ms, gesture_jitter, measure_reactions, BinaryCounts, ConfusionMatrix,
+    ErrorEvent, RocCurve, Summary,
 };
 use gestures::NUM_GESTURES;
 use kinematics::{Dataset, Demonstration};
@@ -260,11 +260,6 @@ pub fn per_gesture_report(
             segments: segments_n[g],
         })
         .collect()
-}
-
-/// Overall early-detection helper re-exported for the bench binaries.
-pub fn overall_early_rate(reactions: &[eval::ReactionMeasurement]) -> f32 {
-    early_detection_rate(reactions)
 }
 
 /// Nearest-rank percentile — re-exported from the workspace's one

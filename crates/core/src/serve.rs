@@ -60,8 +60,8 @@ pub struct ServeConfig {
     pub threshold: f32,
     /// Numeric tier every session of the pool infers at.
     /// [`Precision::Int8`] requires the pipeline's quantized twin
-    /// ([`TrainedPipeline::quantize`]) and buys sessions-per-core density
-    /// for a parity-gated accuracy delta.
+    /// ([`TrainedPipeline::quantize`]) and serves more sessions within the
+    /// 30 Hz frame interval for a parity-gated accuracy delta.
     pub precision: Precision,
 }
 

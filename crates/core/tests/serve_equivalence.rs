@@ -252,58 +252,67 @@ fn missing_context_is_a_typed_error_not_a_panic() {
     assert_eq!((decisions[0].session, decisions[0].frame), (0, 0));
 }
 
-/// Satellite: the pool-level latency telemetry measures every warm
-/// decision drained through `poll_into`/`flush` — compute per warm decision,
-/// ingress-to-egress queueing per frame — and keeps its quantiles ordered.
+/// The pool-level latency telemetry measures every warm decision drained
+/// through `poll_into`/`flush` — compute per warm decision,
+/// ingress-to-egress queueing per frame — and keeps its quantiles ordered,
+/// on both numeric tiers.
 #[test]
 fn latency_stats_cover_drained_decisions() {
-    let (pipeline, ds) = tiny_pipeline(37);
+    let (mut pipeline, ds) = tiny_pipeline(37);
+    let idx: Vec<usize> = (0..ds.len()).collect();
+    pipeline.quantize(&ds, &idx).expect("built-in specs are quantizable");
     let warm = pipeline.config.window.width.max(pipeline.config.gesture_window);
-    let mut pool = ShardedMonitorPool::with_sessions(
-        Arc::new(pipeline),
-        ContextMode::Predicted,
-        ServeConfig { workers: 2, threshold: 0.5, precision: Precision::F32 },
-        3,
-    );
-    assert_eq!(pool.stats().compute.count, 0, "no decisions measured before any flush");
-    assert_eq!(pool.stats().queue.count, 0);
+    let shared = Arc::new(pipeline);
+    for precision in [Precision::F32, Precision::Int8] {
+        let mut pool = ShardedMonitorPool::with_sessions(
+            Arc::clone(&shared),
+            ContextMode::Predicted,
+            ServeConfig { workers: 2, threshold: 0.5, precision },
+            3,
+        );
+        assert_eq!(pool.stats().compute.count, 0, "no decisions measured before any flush");
+        assert_eq!(pool.stats().queue.count, 0);
 
-    let frames = 2 * warm;
-    for t in 0..frames {
-        for s in 0..3 {
-            pool.submit(s, &ds.demos[s].frames[t]).expect("Predicted mode");
+        let frames = 2 * warm;
+        for t in 0..frames {
+            for s in 0..3 {
+                pool.submit(s, &ds.demos[s].frames[t]).expect("Predicted mode");
+            }
         }
+        assert_eq!(pool.in_flight(), 3 * frames, "every submit is pending before the flush");
+        let decisions = pool.flush();
+        assert_eq!(pool.in_flight(), 0, "flush drains every pending decision");
+        let warm_decisions = decisions.iter().filter(|d| d.output.is_some()).count();
+        assert!(warm_decisions > 0, "{precision}: sessions should have warmed up");
+
+        let stats = pool.stats();
+        assert_eq!(
+            stats.compute.count, warm_decisions,
+            "{precision}: exactly the warm decisions are measured"
+        );
+        assert_eq!(
+            stats.queue.count,
+            3 * frames,
+            "{precision}: every frame is measured ingress-to-egress, warm-up included"
+        );
+        let c = stats.compute;
+        assert!(c.p50_ms <= c.p99_ms && c.p99_ms <= c.max_ms, "{c:?}");
+        assert!(c.mean_ms > 0.0 && c.mean_ms.is_finite());
+        let q = stats.queue;
+        assert!(q.p50_ms <= q.p99_ms && q.p99_ms <= q.max_ms, "{q:?}");
+        assert!(
+            q.mean_ms >= c.mean_ms,
+            "{precision}: queueing (submit→drain) contains compute: {} < {}",
+            q.mean_ms,
+            c.mean_ms
+        );
+        let text = stats.to_string();
+        assert!(text.contains("compute") && text.contains("queueing"), "{text}");
+
+        pool.reset_stats();
+        assert_eq!(pool.stats().compute.count, 0, "reset_stats clears the telemetry");
+        assert_eq!(pool.stats().queue.count, 0);
     }
-    assert_eq!(pool.in_flight(), 3 * frames, "every submit is pending before the flush");
-    let decisions = pool.flush();
-    assert_eq!(pool.in_flight(), 0, "flush drains every pending decision");
-    let warm_decisions = decisions.iter().filter(|d| d.output.is_some()).count();
-    assert!(warm_decisions > 0, "sessions should have warmed up");
-
-    let stats = pool.stats();
-    assert_eq!(stats.compute.count, warm_decisions, "exactly the warm decisions are measured");
-    assert_eq!(
-        stats.queue.count,
-        3 * frames,
-        "every frame is measured ingress-to-egress, warm-up included"
-    );
-    let c = stats.compute;
-    assert!(c.p50_ms <= c.p99_ms && c.p99_ms <= c.max_ms, "{c:?}");
-    assert!(c.mean_ms > 0.0 && c.mean_ms.is_finite());
-    let q = stats.queue;
-    assert!(q.p50_ms <= q.p99_ms && q.p99_ms <= q.max_ms, "{q:?}");
-    assert!(
-        q.mean_ms >= c.mean_ms,
-        "queueing (submit→drain) contains compute: {} < {}",
-        q.mean_ms,
-        c.mean_ms
-    );
-    let text = stats.to_string();
-    assert!(text.contains("compute") && text.contains("queueing"), "{text}");
-
-    pool.reset_stats();
-    assert_eq!(pool.stats().compute.count, 0, "reset_stats clears the telemetry");
-    assert_eq!(pool.stats().queue.count, 0);
 }
 
 /// `reset_session` on the sharded pool restores a cold session: the same

@@ -74,7 +74,8 @@ impl From<std::io::Error> for ClientError {
 
 /// One client connection = one (attempted) session.
 pub struct Connection {
-    stream: TcpStream,
+    /// The socket; the load generator polls it.
+    pub(crate) stream: TcpStream,
     dec: Decoder,
     enc: BytesMut,
     scratch: FrameMsg,
@@ -86,13 +87,24 @@ impl Connection {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self {
+        Ok(Self::over(stream))
+    }
+
+    fn over(stream: TcpStream) -> Self {
+        Self {
             stream,
             dec: Decoder::new(),
             enc: BytesMut::new(),
             scratch: FrameMsg::default(),
             buf: [0u8; 8 * 1024],
-        })
+        }
+    }
+
+    /// A second handle on the same socket, so that one thread can send
+    /// while another receives. Blocking mode and timeouts are the socket's,
+    /// shared by both handles.
+    pub(crate) fn try_clone(&self) -> std::io::Result<Self> {
+        Ok(Self::over(self.stream.try_clone()?))
     }
 
     /// Switches the socket between blocking [`Connection::recv`] and

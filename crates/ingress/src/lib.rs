@@ -21,17 +21,20 @@
 //!   admission controller *sheds* (typed BUSY) instead of delaying
 //!   admitted sessions.
 //! - [`client`] — blocking client used by tests and tools.
-//! - [`loadgen`] — closed-loop load generator: hundreds of concurrent
-//!   synthetic sessions, per-frame round-trip latency quantiles, shed
-//!   accounting (`BENCH_ingress.json` comes from `repro_serve`'s sweep
-//!   over it).
+//! - [`loadgen`] — paced open-loop load generator: up to thousands of
+//!   concurrent synthetic sessions at the paper's 30 Hz, each decision
+//!   timed from its frame's scheduled send, nearest-rank quantiles with
+//!   their sample counts, shed accounting (`BENCH_ingress.json` comes from
+//!   `repro_serve`'s sweep over it).
 //!
-//! The crate is Unix-only: the server waits with `poll(2)`, its one FFI
-//! call, and wakes a loop through a `std::os::unix` socket pair.
+//! The crate is Unix-only: the server and the load generator wait with
+//! `poll(2)`, its one FFI call, and the server wakes a loop through a
+//! `std::os::unix` socket pair.
 
 pub mod client;
 pub mod codec;
 pub mod loadgen;
+mod poll;
 pub mod server;
 
 pub use client::{ClientError, Connection, ServerMsg};

@@ -62,7 +62,7 @@
 use std::ffi::{c_int, c_short};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -78,6 +78,7 @@ use crate::codec::{
     encode_busy, encode_bye, encode_decision, encode_error, encode_welcome, DecisionMsg, Decoded,
     Decoder, ErrorCode, FrameMsg, DECISION_LEN,
 };
+use crate::poll::{wait, PollFd, POLLIN, POLLOUT};
 
 /// How many DECISIONs' worth of bytes a connection's output buffer may
 /// hold before its loop stops taking messages from it (module docs).
@@ -102,52 +103,6 @@ const ENFILE: i32 = 23;
 const ENOBUFS: i32 = 105;
 #[cfg(not(any(target_os = "linux", target_os = "android")))]
 const ENOBUFS: i32 = 55;
-
-/// `struct pollfd` of `poll(2)`.
-#[repr(C)]
-struct PollFd {
-    fd: RawFd,
-    events: c_short,
-    revents: c_short,
-}
-
-// The event bits are the same on Linux, the BSDs and macOS.
-const POLLIN: c_short = 0x1;
-const POLLOUT: c_short = 0x4;
-const POLLERR: c_short = 0x8;
-const POLLHUP: c_short = 0x10;
-
-/// `nfds_t`, the type of `poll`'s descriptor count.
-#[cfg(target_os = "linux")]
-type Nfds = std::ffi::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type Nfds = std::ffi::c_uint;
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
-}
-
-impl PollFd {
-    fn new(fd: RawFd, events: c_short) -> Self {
-        Self { fd, events, revents: 0 }
-    }
-
-    /// Whether a read would not block: data, end of stream, or an error
-    /// the read reports.
-    fn readable(&self) -> bool {
-        self.revents & (POLLIN | POLLHUP | POLLERR) != 0
-    }
-}
-
-/// Blocks until one of `fds` is ready, or for at most `timeout_ms`
-/// (`-1`: no limit). A failed or interrupted `poll` leaves every `revents`
-/// at 0, which the loop reads as nothing ready.
-fn wait(fds: &mut [PollFd], timeout_ms: c_int) {
-    // SAFETY: `fds` is a live, exclusively borrowed slice of `#[repr(C)]`
-    // `struct pollfd` records, and `poll` reads and writes only its first
-    // `fds.len()` entries.
-    unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
-}
 
 /// How the other threads reach one event loop: connections placed on it
 /// wait in `inbox`, and a byte on `wake` makes its wait return. The inbox
@@ -202,10 +157,6 @@ pub struct ServerConfig {
     /// Admission cap: concurrent admitted sessions. HELLOs beyond it get
     /// BUSY, never a queue slot.
     pub max_sessions: usize,
-    /// Manipulators per frame the served pipeline was trained on
-    /// (JIGSAWS: 2). Frames with any other count are rejected with
-    /// [`ErrorCode::BadShape`] before they can reach an engine.
-    pub manipulators: usize,
     /// Context mode every session runs in. `Perfect` requires clients to
     /// attach a gesture label to every FRAME; the other modes forbid it.
     pub mode: ContextMode,
@@ -219,7 +170,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             max_sessions: 64,
-            manipulators: 2,
             mode: ContextMode::Predicted,
             serve: ServeConfig::default(),
         }
@@ -273,6 +223,7 @@ impl IngressServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let loops = cfg.serve.workers.max(1);
+        let manipulators = pipeline.manipulators();
         // Built before any thread starts, so a bad shape panics here.
         let shards: Vec<Shard<Tag>> =
             (0..loops).map(|_| Shard::new(Arc::clone(&pipeline), cfg.mode, cfg.serve)).collect();
@@ -305,7 +256,7 @@ impl IngressServer {
                     free: Vec::new(),
                     spare: Vec::new(),
                     mode: cfg.mode,
-                    manipulators: cfg.manipulators,
+                    manipulators,
                     max_sessions: cfg.max_sessions,
                     frame: FrameMsg::default(),
                 },
@@ -481,6 +432,9 @@ struct Service {
     /// the next decode target.
     spare: Vec<KinematicSample>,
     mode: ContextMode,
+    /// Arms per FRAME ([`TrainedPipeline::manipulators`]); a FRAME with
+    /// any other count gets [`ErrorCode::BadShape`] before it can reach an
+    /// engine.
     manipulators: usize,
     max_sessions: usize,
     /// Decode target reused by every FRAME.

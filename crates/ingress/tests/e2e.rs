@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
-use context_monitor::{ContextMode, MonitorConfig, TrainedPipeline};
+use context_monitor::{ContextMode, MonitorConfig, TrainStages, TrainedPipeline};
 use gestures::Task;
 use ingress::client::{ClientError, Connection, ServerMsg};
 use ingress::codec::{encode_frame, DecisionMsg, ErrorCode, WIRE_VERSION};
@@ -329,6 +329,45 @@ fn malformed_clients_get_typed_errors_and_the_service_survives() {
     let (keys, _) = socket_session_keys(&addr, ContextMode::Predicted, 0);
     let want = in_process_keys(ContextMode::Predicted, 1, 2);
     assert_eq!(keys, want[0], "service must stay bit-exact after malformed clients");
+}
+
+/// The server reads its arm count from the pipeline: one fitted on
+/// one-arm frames serves one-arm FRAMEs and answers a two-arm FRAME with
+/// ERROR(BadShape), never with an engine fed the wrong width.
+#[test]
+fn one_arm_pipeline_serves_one_arm_frames_and_rejects_two() {
+    let (_, ds) = fixture();
+    let mut one_arm = ds.clone();
+    for demo in &mut one_arm.demos {
+        for frame in &mut demo.frames {
+            frame.manipulators.truncate(1);
+        }
+    }
+    let cfg = MonitorConfig::fast(FeatureSet::CRG).with_seed(7);
+    let idx: Vec<usize> = (0..one_arm.len()).collect();
+    let untrained = TrainStages { gesture: false, errors: false };
+    let (pipeline, _) = TrainedPipeline::train_stages(&one_arm, &idx, &cfg, untrained);
+    assert_eq!(pipeline.manipulators(), 1);
+    let server = IngressServer::start(
+        Arc::new(pipeline),
+        ServerConfig { max_sessions: 2, serve: serve_cfg(1), ..ServerConfig::default() },
+    )
+    .expect("bind ingress server");
+
+    let mut conn = connect(server.local_addr());
+    conn.send_hello(false).expect("hello");
+    assert!(matches!(conn.recv().expect("welcome"), ServerMsg::Welcome { .. }));
+    let demo = &one_arm.demos[0];
+    for (t, frame) in demo.frames.iter().take(3).enumerate() {
+        conn.send_frame(t as u32, None, frame).expect("send frame");
+        match conn.recv().expect("decision") {
+            ServerMsg::Decision(d) => assert_eq!(d.seq, t as u32),
+            other => panic!("expected DECISION {t}, got {other:?}"),
+        }
+    }
+    conn.send_frame(3, None, &ds.demos[0].frames[3]).expect("send a two-arm frame");
+    expect_error_then_close(&mut conn, ErrorCode::BadShape);
+    assert_eq!(server.stats().protocol_errors, 1);
 }
 
 #[test]

@@ -74,11 +74,6 @@ impl Dataset {
             })
             .collect()
     }
-
-    /// Demonstrations by index.
-    pub fn select(&self, indices: &[usize]) -> Vec<&Demonstration> {
-        indices.iter().map(|&i| &self.demos[i]).collect()
-    }
 }
 
 /// Per-feature z-score normalizer fitted on training data only (so LOSO

@@ -322,13 +322,6 @@ impl Mat {
         Mat { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Scales every element by `s`.
     pub fn scale(&self, s: f32) -> Mat {
         self.map(|x| x * s)

@@ -42,10 +42,6 @@ impl NetworkSpec {
 pub struct Network {
     spec: NetworkSpec,
     layers: Vec<Box<dyn SeqLayer>>,
-    /// Owned scratch backing the convenience [`Network::predict_into`];
-    /// the shareable inference paths ([`Network::predict_scratch`],
-    /// [`Network::predict_batch_into`]) take caller-owned scratch instead.
-    scratch: NetworkScratch,
 }
 
 /// Caller-owned buffers for the `&self` inference paths: ping-pong
@@ -154,12 +150,7 @@ impl Network {
         let mut rng = SmallRng::seed_from_u64(seed);
         let layers: Vec<Box<dyn SeqLayer>> =
             spec.layers.iter().map(|s| build_layer(s, &mut rng)).collect();
-        let scratch = NetworkScratch {
-            ping: Mat::zeros(0, 0),
-            pong: Mat::zeros(0, 0),
-            layers: vec![LayerScratch::default(); layers.len()],
-        };
-        Self { spec, layers, scratch }
+        Self { spec, layers }
     }
 
     /// Creates a caller-owned scratch sized for this network's layer stack,
@@ -176,11 +167,6 @@ impl Network {
     /// The architecture this network was built from.
     pub fn spec(&self) -> &NetworkSpec {
         &self.spec
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
     }
 
     /// Runs the forward pass.
@@ -224,19 +210,6 @@ impl Network {
     /// Convenience: forward pass in eval mode.
     pub fn predict(&mut self, x: &Mat) -> Mat {
         self.forward(x, Mode::Eval)
-    }
-
-    /// Allocation-free inference through the network-owned scratch, writing
-    /// the logits into `out`.
-    ///
-    /// Produces bit-identical results to [`Network::predict`] but performs
-    /// no heap allocation once the buffers have warmed up to the input
-    /// shape. Unlike `forward`, no state for `backward` is recorded. For a
-    /// network shared across engines or threads, use
-    /// [`Network::predict_scratch`] with caller-owned scratch instead.
-    pub fn predict_into(&mut self, x: &Mat, out: &mut Mat) {
-        let Self { layers, scratch, .. } = self;
-        run_layers(layers, x, 1, out, scratch);
     }
 
     /// Allocation-free inference with **caller-owned** scratch: the network
@@ -522,20 +495,21 @@ mod tests {
     }
 
     #[test]
-    fn predict_into_is_bit_exact_for_conv_stack() {
+    fn predict_scratch_is_bit_exact_for_conv_stack() {
         let mut net = Network::new(small_spec(), 5);
+        let mut scratch = net.make_scratch();
         let mut out = Mat::zeros(0, 0);
         // Varying input shapes exercise the scratch-buffer resizing.
         for t in [8usize, 12, 8, 5] {
             let x = Mat::from_vec(t, 3, (0..t * 3).map(|i| ((i as f32) * 0.37).sin()).collect());
             let reference = net.predict(&x);
-            net.predict_into(&x, &mut out);
+            net.predict_scratch(&x, &mut out, &mut scratch);
             assert_eq!(reference, out, "mismatch at t={t}");
         }
     }
 
     #[test]
-    fn predict_into_is_bit_exact_for_lstm_stack() {
+    fn predict_scratch_is_bit_exact_for_lstm_stack() {
         let spec = NetworkSpec::new(vec![
             LayerSpec::Lstm { in_dim: 4, hidden: 6, return_sequences: true },
             LayerSpec::Lstm { in_dim: 6, hidden: 3, return_sequences: false },
@@ -544,17 +518,18 @@ mod tests {
             LayerSpec::Dense { in_dim: 5, out_dim: 2 },
         ]);
         let mut net = Network::new(spec, 11);
+        let mut scratch = net.make_scratch();
         let mut out = Mat::zeros(0, 0);
         for t in [10usize, 15, 10] {
             let x = Mat::from_vec(t, 4, (0..t * 4).map(|i| ((i as f32) * 0.21).cos()).collect());
             let reference = net.predict(&x);
-            net.predict_into(&x, &mut out);
+            net.predict_scratch(&x, &mut out, &mut scratch);
             assert_eq!(reference, out, "mismatch at t={t}");
         }
     }
 
     #[test]
-    fn predict_into_covers_every_layer_kind() {
+    fn predict_scratch_covers_every_layer_kind() {
         // One network touching the layers not covered above.
         let spec = NetworkSpec::new(vec![
             LayerSpec::BatchNorm { dim: 3 },
@@ -577,7 +552,7 @@ mod tests {
         let x = Mat::from_vec(9, 3, (0..27).map(|i| (i as f32) * 0.1 - 1.3).collect());
         let reference = net.predict(&x);
         let mut out = Mat::zeros(0, 0);
-        net.predict_into(&x, &mut out);
+        net.predict_scratch(&x, &mut out, &mut net.make_scratch());
         assert_eq!(reference, out);
 
         // TakeLast after a sequence-returning LSTM.
@@ -587,7 +562,7 @@ mod tests {
         ]);
         let mut net = Network::new(spec, 4);
         let reference = net.predict(&x);
-        net.predict_into(&x, &mut out);
+        net.predict_scratch(&x, &mut out, &mut net.make_scratch());
         assert_eq!(reference, out);
     }
 
@@ -605,21 +580,6 @@ mod tests {
         assert_send_sync::<Mat>();
         assert_send_sync::<Network>();
         assert_send_sync::<NetworkScratch>();
-    }
-
-    #[test]
-    fn predict_scratch_matches_predict_into_with_shared_network() {
-        let mut net = Network::new(small_spec(), 5);
-        let mut scratch = net.make_scratch();
-        let mut a = Mat::zeros(0, 0);
-        let mut b = Mat::zeros(0, 0);
-        for t in [8usize, 12, 8] {
-            let x = Mat::from_vec(t, 3, (0..t * 3).map(|i| ((i as f32) * 0.29).sin()).collect());
-            net.predict_into(&x, &mut a);
-            let shared: &Network = &net;
-            shared.predict_scratch(&x, &mut b, &mut scratch);
-            assert_eq!(a, b, "mismatch at t={t}");
-        }
     }
 
     /// Batched inference must be bit-identical, per sequence, to running

@@ -66,11 +66,6 @@ impl Adam {
         Self { beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Creates Adam with custom moment coefficients.
-    pub fn with_betas(beta1: f32, beta2: f32) -> Self {
-        Self { beta1, beta2, ..Self::new() }
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t

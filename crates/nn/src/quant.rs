@@ -388,11 +388,6 @@ impl QuantizedNetwork {
         Ok(Self { layers })
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Creates a caller-owned scratch for this network.
     pub fn make_scratch(&self) -> QuantScratch {
         QuantScratch::default()

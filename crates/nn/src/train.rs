@@ -48,14 +48,6 @@ impl Default for TrainConfig {
     }
 }
 
-impl TrainConfig {
-    /// The paper's low-learning-rate setup (§III): Adam at 1e-4 with
-    /// step-decay.
-    pub fn paper_default() -> Self {
-        Self { schedule: StepDecay::new(1e-4, 0.5, 10), ..Self::default() }
-    }
-}
-
 /// Per-epoch statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpochStats {

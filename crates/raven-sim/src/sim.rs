@@ -3,7 +3,7 @@
 //! packets are sent to the robot control software (§IV-B).
 
 use crate::arm::Arm;
-use crate::features::{flatten, RAVEN_FEATURES};
+use crate::features::flatten;
 use crate::plan::{schedule, BlockTransferPlan, Commands};
 use crate::world::{GraspPhysics, World, WorldEvent};
 use gestures::Task;
@@ -373,14 +373,10 @@ fn build_demo(
     }
 }
 
-/// Sanity accessor: the feature width every trial row has.
-pub fn feature_width() -> usize {
-    RAVEN_FEATURES
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::RAVEN_FEATURES;
     use crate::plan::GRASPER_OPEN_CMD;
 
     #[test]

@@ -8,7 +8,7 @@
 //! not").
 
 use crate::cv::{threshold, track_brightest};
-use crate::frame::{palette, Frame, VirtualCamera};
+use crate::frame::{Frame, VirtualCamera};
 use eval::dtw;
 use kinematics::Vec3;
 use raven_sim::{layout, FailureMode, Trial};
@@ -204,11 +204,6 @@ pub fn tracking_error_px(trial: &Trial, cfg: &VisionConfig) -> f32 {
         }
     }
     worst
-}
-
-/// Exposes the palette for downstream consumers rendering legends.
-pub fn block_intensity() -> u8 {
-    palette::BLOCK
 }
 
 #[cfg(test)]
