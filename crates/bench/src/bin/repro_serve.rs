@@ -21,10 +21,12 @@
 //!
 //! The default mode doubles the offered sessions from 1 until the p99
 //! decision latency of a level passes one 30 Hz frame interval (33.3 ms),
-//! or 2,048 sessions. Each level runs `max(60, ⌈2000 / sessions⌉)` frames
-//! per session, so at least 20 samples lie beyond every p99. The knee is
-//! the last level whose p99 stays within the interval. The run then caps
-//! admission at the knee, offers twice as many sessions, and writes
+//! or 2,048 sessions. Each level runs `max(300, ⌈2000 / sessions⌉)` frames
+//! per session: at least 10 s, so one host stall of tens of ms spans
+//! under 1% of a level, and at least 2,000 samples, so at least 20 lie
+//! beyond every p99. The knee is the last level whose p99 stays within the
+//! interval. The run then caps admission at the knee, offers twice as many
+//! sessions from the sweep's driver-thread budget, and writes
 //! `BENCH_ingress.json` (f32 tier) or `BENCH_ingress_int8.json`
 //! (`MONITOR_PRECISION=int8`) at the repo root.
 
@@ -261,10 +263,12 @@ fn smoke() {
 /// Most sessions the sweep offers.
 const MAX_SESSIONS: usize = 2048;
 
-/// Frames per session at a level of `sessions`: at least 60, and enough for
-/// 2,000 latency samples, so at least 20 lie beyond the level's p99.
+/// Frames per session at a level of `sessions`: at least 300 (10 s at
+/// 30 Hz, so one host stall of tens of ms spans under 1% of the level),
+/// and enough for 2,000 latency samples, so at least 20 lie
+/// beyond the level's p99.
 fn frames_at(sessions: usize) -> usize {
-    60.max(2000usize.div_ceil(sessions))
+    300.max(2000usize.div_ceil(sessions))
 }
 
 struct Row {
@@ -331,7 +335,10 @@ fn main() {
     println!("\nknee: {knee} concurrent sessions at 30 Hz with p99 <= {budget_ms:.1} ms");
 
     // Admission-control demo at the knee: cap the server there, offer
-    // double, and show shed sessions never degrade admitted ones.
+    // double, and show shed sessions never degrade admitted ones. It
+    // drives them with the sweep's thread budget, so its admitted sessions
+    // share the host with no more generator threads than the level it
+    // repeats.
     header("admission control at the knee (offer 2x, shed the excess)");
     let cap = knee.max(1);
     let server = start_server(&pipeline, cap, loops, precision);
@@ -340,7 +347,7 @@ fn main() {
         &LoadgenConfig {
             sessions: 2 * cap,
             frames_per_session: frames_at(cap),
-            threads: (2 * cap).min(4 * cores),
+            threads: (2 * cap).min(2 * cores),
             deadline_ms: budget_ms,
             ..LoadgenConfig::default()
         },

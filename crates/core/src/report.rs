@@ -321,7 +321,7 @@ pub struct PoolStats {
     pub compute: LatencyStats,
     /// Ingress-to-egress latency of **every** drained decision (warm-up
     /// frames queue like any other), measured from the `submit` call to the
-    /// moment the decision left the egress channel.
+    /// moment the pool drained the decision from its queue home.
     pub queue: LatencyStats,
     /// Live sessions per shard at the moment of the snapshot — the
     /// occupancy the elastic placement policy balances (sessions land on

@@ -4,10 +4,10 @@
 //! [`ShardedMonitorPool`] is the one multi-session form of the monitor (a
 //! single session steps its own [`InferenceEngine`]): sessions are placed
 //! on the least-occupied of `workers` shard threads (round-robin while
-//! nobody leaves), frames travel to their shard over that shard's ingress
-//! channel, and every processed frame comes home as one message on a shared
-//! egress channel: its decision plus the frame buffer, for reuse by the next
-//! submit. The fleet is **elastic**: sessions can be
+//! nobody leaves), frames travel to their shard on that shard's job queue,
+//! and every processed frame comes home as one message on the shared queue
+//! home: its decision plus the frame buffer, for reuse by the next submit.
+//! The fleet is **elastic**: sessions can be
 //! [removed](ShardedMonitorPool::remove_session) at any time — their engine
 //! slot is recycled by the next [`add_session`](ShardedMonitorPool::add_session)
 //! while decisions already in flight drain normally — so clients of a
@@ -18,13 +18,13 @@
 //! (`Network::predict_scratch` and friends) make safe.
 //!
 //! Within a shard, frames are processed in **micro-batched ticks**: the
-//! worker drains its ingress queue and advances every distinct session one
+//! worker drains its job queue and advances every distinct session one
 //! frame via [`engine::step_batch`], which fuses the stage-1 forward passes
 //! of all warm sessions into one batched network evaluation and groups
 //! stage-2 windows by their routed error classifier. [`Shard`] holds those
 //! tick rules once; the network ingress service in `crates/ingress` drives
 //! one per event loop on the loop's own thread, with no pool and no
-//! channel. Determinism is part of
+//! queue. Determinism is part of
 //! the contract: per session, the emitted decisions are **bit-exactly** the
 //! ones a lone [`InferenceEngine`] produces when stepped frame by frame, for
 //! every `ContextMode` — batching changes wall-clock, never floats
@@ -41,11 +41,10 @@ use crate::engine::{
 };
 use crate::pipeline::{ContextMode, TrainedPipeline};
 use crate::report::{LatencyStats, PoolStats};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gestures::Gesture;
 use kinematics::KinematicSample;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,7 +102,7 @@ pub(crate) fn output_from_step(
     Some(MonitorOutput { gesture, unsafe_probability: score, alert: score > threshold, compute_ms })
 }
 
-/// One per-frame result coming back over the egress channel.
+/// One per-frame result coming back from a shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// The session the frame belonged to.
@@ -141,19 +140,95 @@ enum Job {
     Stall { dur: Duration },
 }
 
-/// The one message a shard worker sends home per processed frame: the
-/// decision, the frame's submit time (queueing telemetry) and the frame
-/// buffer for the next `submit` to reuse. One message, so a frame's buffer
-/// is back before its decision is seen.
-struct Done {
-    decision: Decision,
-    submitted: Instant,
-    frame: KinematicSample,
+/// What a pool frame carries through its shard and home again: its
+/// session, its index in the session's stream and its submit time
+/// (queueing telemetry). A shard worker sends each frame home as one
+/// [`Scored`] message, so a frame's buffer is back for the next `submit`
+/// to reuse before its decision is seen.
+type Stamp = (SessionId, usize, Instant);
+
+/// One of the pool's queues: a job queue per shard, and the queue home.
+/// Its one consumer takes everything queued at once by swapping in its own
+/// emptied vector, so once both vectors reach their high-water mark
+/// neither side allocates.
+struct Queue<T> {
+    state: Mutex<Queued<T>>,
+    ready: Condvar,
 }
 
-/// What a pool frame carries through its shard and home again: its
-/// session, its index in the session's stream and its submit time.
-type Stamp = (SessionId, usize, Instant);
+struct Queued<T> {
+    items: Vec<T>,
+    /// Set by the pool's drop and when a shard worker's thread ends; a
+    /// closed queue takes nothing more.
+    closed: bool,
+}
+
+/// Locks a queue. Every update leaves a queue valid at every step, so a
+/// lock poisoned by a thread that panicked holding it still guards a
+/// usable queue.
+// lint: hot-path
+fn lock<T>(state: &Mutex<Queued<T>>) -> MutexGuard<'_, Queued<T>> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<T> Queue<T> {
+    fn new() -> Self {
+        Self {
+            state: Mutex::new(Queued { items: Vec::new(), closed: false }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Appends `items` and, if there were any, wakes the consumer. Returns
+    /// `false`, having appended nothing, once the queue is closed.
+    // lint: hot-path
+    fn put(&self, items: impl ExactSizeIterator<Item = T>) -> bool {
+        if items.len() == 0 {
+            return true;
+        }
+        let mut queued = lock(&self.state);
+        if queued.closed {
+            return false;
+        }
+        queued.items.extend(items);
+        drop(queued);
+        self.ready.notify_one();
+        true
+    }
+
+    fn close(&self) {
+        lock(&self.state).closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Swaps everything queued into `into`, which its last use left empty,
+    /// after waiting up to `timeout` (`Duration::MAX`: as long as it takes)
+    /// while nothing is queued and the queue is open. Returns whether the
+    /// queue is closed.
+    // lint: hot-path
+    fn take_into(&self, into: &mut Vec<T>, timeout: Duration) -> bool {
+        let idle = |queued: &mut Queued<T>| queued.items.is_empty() && !queued.closed;
+        let waited = self.ready.wait_timeout_while(lock(&self.state), timeout, idle);
+        let (mut queued, _) = waited.unwrap_or_else(PoisonError::into_inner);
+        std::mem::swap(into, &mut queued.items);
+        queued.closed
+    }
+}
+
+/// Closes a shard worker's queues when its thread ends, by return or by
+/// panic, so the pool's next `submit` to it, or a drain waiting on it,
+/// fails loud instead of hanging.
+struct CloseOnExit<'a> {
+    jobs: &'a Queue<Job>,
+    home: &'a Queue<Scored<Stamp>>,
+}
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.jobs.close();
+        self.home.close();
+    }
+}
 
 /// Log-scale bucket count of the latency histogram: 6 decades
 /// (10⁻⁴ … 10² ms) at 40 buckets per decade, ≈ 5.9% relative resolution.
@@ -276,10 +351,14 @@ impl LatencyTelemetry {
 /// ```
 pub struct ShardedMonitorPool {
     mode: ContextMode,
-    ingress: Vec<Sender<Job>>,
-    egress: Receiver<Done>,
+    /// One job queue per shard worker, index-aligned with `handles`.
+    jobs: Vec<Arc<Queue<Job>>>,
+    /// The queue every shard worker sends its scored frames home on.
+    home: Arc<Queue<Scored<Stamp>>>,
+    /// What the last drain took from `home`, emptied and kept for the next.
+    arrived: Vec<Scored<Stamp>>,
     /// Frame buffers that came home with their decisions, reused by the
-    /// next `submit` so the steady-state ingress path allocates nothing (a
+    /// next `submit` so the steady-state submit path allocates nothing (a
     /// fresh clone happens only while the in-flight high-water mark is
     /// still growing).
     spare_frames: Vec<KinematicSample>,
@@ -319,21 +398,22 @@ impl ShardedMonitorPool {
     /// construction, not inside a shard worker.
     pub fn new(pipeline: Arc<TrainedPipeline>, mode: ContextMode, config: ServeConfig) -> Self {
         let workers = config.workers.max(1);
-        let (egress_tx, egress_rx) = unbounded();
-        let mut ingress = Vec::with_capacity(workers);
+        let home = Arc::new(Queue::new());
+        let mut jobs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = unbounded();
+            let queue = Arc::new(Queue::new());
             // Built here, so a misconfiguration panics on the caller's thread.
             let shard = Shard::new(Arc::clone(&pipeline), mode, config);
-            let egress = egress_tx.clone();
-            handles.push(std::thread::spawn(move || worker_loop(shard, &rx, &egress)));
-            ingress.push(tx);
+            let (own, home) = (Arc::clone(&queue), Arc::clone(&home));
+            handles.push(std::thread::spawn(move || worker_loop(shard, &own, &home)));
+            jobs.push(queue);
         }
         Self {
             mode,
-            ingress,
-            egress: egress_rx,
+            jobs,
+            home,
+            arrived: Vec::new(),
             spare_frames: Vec::new(),
             handles,
             assignments: Vec::new(),
@@ -389,8 +469,8 @@ impl ShardedMonitorPool {
     /// the least-occupied shard's pool) and the freed capacity stops
     /// counting toward shard occupancy. Decisions for frames submitted
     /// before the removal are **not** lost — they drain through
-    /// [`ShardedMonitorPool::poll_into`] / [`ShardedMonitorPool::flush`] as
-    /// usual, tagged with the removed session's id (ids are never reused,
+    /// [`ShardedMonitorPool::drain_deadline`] / [`ShardedMonitorPool::flush`]
+    /// as usual, tagged with the removed session's id (ids are never reused,
     /// so late decisions stay unambiguous). Submitting to (or resetting) a
     /// removed session panics.
     ///
@@ -446,7 +526,7 @@ impl ShardedMonitorPool {
 
     /// Number of shard worker threads.
     pub fn worker_count(&self) -> usize {
-        self.ingress.len()
+        self.jobs.len()
     }
 
     /// Frames submitted so far for `session` (every one of which produces
@@ -461,7 +541,7 @@ impl ShardedMonitorPool {
     }
 
     /// Enqueues one frame of `session` for its shard. Returns immediately;
-    /// the decision arrives via [`ShardedMonitorPool::poll_into`] /
+    /// the decision arrives via [`ShardedMonitorPool::drain_deadline`] /
     /// [`ShardedMonitorPool::flush`].
     ///
     /// # Errors
@@ -567,25 +647,15 @@ impl ShardedMonitorPool {
     ///
     /// Panics on an out-of-range shard index.
     pub fn inject_stall(&mut self, shard: usize, dur: Duration) {
-        assert!(shard < self.ingress.len(), "unknown shard {shard}");
+        assert!(shard < self.jobs.len(), "unknown shard {shard}");
         self.send(shard, Job::Stall { dur });
-    }
-
-    /// Non-blocking drain of the decisions that are ready right now,
-    /// appended into a caller-owned buffer (no allocation once the buffer
-    /// is warm).
-    // lint: hot-path
-    pub fn poll_into(&mut self, out: &mut Vec<Decision>) {
-        while let Ok(done) = self.egress.try_recv() {
-            self.receive(done, out);
-        }
     }
 
     /// Blocking drain with a deadline: appends decisions into `out` until
     /// every submitted frame has produced one (returns `true`) or `deadline`
     /// passes (returns `false`, with whatever arrived in time already in
     /// `out`). A deadline already in the past still sweeps the decisions
-    /// sitting in the egress queue — it just never waits.
+    /// that are home already — it just never waits.
     ///
     /// This is the serving tick of the deadline-gated closed loop: the
     /// fleet reactor drains with its per-tick budget and fails safe for
@@ -597,21 +667,29 @@ impl ShardedMonitorPool {
 
     /// Receives decisions into `out` until none is in flight (`true`) or
     /// `deadline` passes (`false`); `None` waits as long as it takes.
+    /// Panics if a shard worker has exited while frames are in flight.
     // lint: hot-path
     fn drain(&mut self, deadline: Option<Instant>, out: &mut Vec<Decision>) -> bool {
+        let mut arrived = std::mem::take(&mut self.arrived);
+        let mut complete = true;
         while self.in_flight > 0 {
             let timeout =
                 deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now())); // lint: allow(determinism, reason = "deadline bookkeeping for the drain loop; decision values stay clock-free")
-            match self.egress.recv_timeout(timeout) {
-                Ok(done) => self.receive(done, out),
-                Err(RecvTimeoutError::Timeout) => return false,
-                Err(RecvTimeoutError::Disconnected) => {
+            let closed = self.home.take_into(&mut arrived, timeout);
+            if arrived.is_empty() {
+                if closed {
                     // lint: allow(panic, reason = "a dead shard worker while frames are in flight means lost decisions; the monitor must not limp on")
-                    panic!("shard worker exited while frames were in flight")
+                    panic!("shard worker exited while frames were in flight");
                 }
+                complete = false;
+                break;
+            }
+            for scored in arrived.drain(..) {
+                self.receive(scored, out);
             }
         }
-        true
+        self.arrived = arrived;
+        complete
     }
 
     /// Number of submitted frames whose decision has not been drained yet.
@@ -620,7 +698,7 @@ impl ShardedMonitorPool {
     }
 
     /// Latency decomposition of every decision drained so far via
-    /// [`ShardedMonitorPool::poll_into`] / [`ShardedMonitorPool::flush`] /
+    /// [`ShardedMonitorPool::flush`] /
     /// [`ShardedMonitorPool::drain_deadline`]: per-decision **compute**
     /// (`compute_ms`, warm frames only — warm-up frames carry no compute
     /// measurement) and **ingress-to-egress queueing** (submit timestamp →
@@ -651,14 +729,15 @@ impl ShardedMonitorPool {
     /// Books one message home: the decision goes to `out`, its frame
     /// buffer to the free list, its latencies to the telemetry.
     // lint: hot-path
-    fn receive(&mut self, done: Done, out: &mut Vec<Decision>) {
+    fn receive(&mut self, scored: Scored<Stamp>, out: &mut Vec<Decision>) {
+        let Scored { tag: (session, frame, submitted), frame: buffer, output } = scored;
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.queue_telemetry.record(done.submitted.elapsed().as_secs_f32() * 1000.0);
-        if let Some(o) = &done.decision.output {
+        self.queue_telemetry.record(submitted.elapsed().as_secs_f32() * 1000.0);
+        if let Some(o) = &output {
             self.compute_telemetry.record(o.compute_ms);
         }
-        self.spare_frames.push(done.frame);
-        out.push(done.decision);
+        self.spare_frames.push(buffer);
+        out.push(Decision { session, frame, output });
     }
 
     /// Waits until every frame submitted so far has its decision and
@@ -666,6 +745,13 @@ impl ShardedMonitorPool {
     /// frame order. Only submitted frames are waited for, not queued
     /// session or stall jobs: with nothing in flight this returns at once,
     /// even while a shard sleeps in [`ShardedMonitorPool::inject_stall`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard worker has exited (its tick panicked) while
+    /// frames are in flight, rather than wait for decisions that will
+    /// never come; so do [`ShardedMonitorPool::flush_into`] and
+    /// [`ShardedMonitorPool::drain_deadline`].
     pub fn flush(&mut self) -> Vec<Decision> {
         let mut out = Vec::new();
         self.flush_into(&mut out);
@@ -682,17 +768,20 @@ impl ShardedMonitorPool {
 
     // lint: hot-path
     fn send(&self, shard: usize, job: Job) {
-        self.ingress[shard] // lint: allow(panic, reason = "callers pass a placement add_session stored, an index inject_stall asserted, or a 0..ingress.len() loop index")
-            .send(job)
+        // lint: allow(panic, reason = "callers pass a placement add_session stored or an index inject_stall asserted")
+        if !self.jobs[shard].put(std::iter::once(job)) {
             // lint: allow(panic, reason = "a worker exits only on pool drop; losing one while the pool is alive must fail loud")
-            .unwrap_or_else(|_| panic!("shard worker {shard} exited while the pool was alive"));
+            panic!("shard worker {shard} exited while the pool was alive");
+        }
     }
 }
 
 impl Drop for ShardedMonitorPool {
     fn drop(&mut self) {
-        // Closing the ingress channels is the shutdown signal.
-        self.ingress.clear();
+        // Closing the job queues is the shutdown signal.
+        for jobs in &self.jobs {
+            jobs.close();
+        }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -888,15 +977,24 @@ impl<T> Shard<T> {
     }
 }
 
-/// One pool shard's thread: drives its [`Shard`] from the ingress queue in
-/// micro-batched ticks, and sends each scored frame home on `egress` as
-/// soon as it is scored.
-fn worker_loop(mut shard: Shard<Stamp>, ingress: &Receiver<Job>, egress: &Sender<Done>) {
-    // `recv` blocks for work and errors once the pool drops its senders.
-    while let Ok(first) = ingress.recv() {
-        // Drain whatever else is already queued so co-resident sessions
-        // land in the same micro-batched tick.
-        for job in std::iter::once(first).chain(std::iter::from_fn(|| ingress.try_recv().ok())) {
+/// One pool shard's thread: drives its [`Shard`] from its job queue in
+/// micro-batched ticks, and sends each scored frame `home` as soon as it is
+/// scored. It takes jobs until the queue is empty, so co-resident sessions
+/// land in the same tick, then runs the tick and waits for more. It ends
+/// once the queue is closed, dropping any jobs still queued.
+fn worker_loop(mut shard: Shard<Stamp>, jobs: &Queue<Job>, home: &Queue<Scored<Stamp>>) {
+    let _close = CloseOnExit { jobs, home };
+    let mut batch = Vec::new();
+    let mut timeout = Duration::MAX;
+    while !jobs.take_into(&mut batch, timeout) {
+        if batch.is_empty() {
+            // A look without waiting found no job: the tick is complete.
+            shard.run_tick();
+            send_home(&mut shard, home);
+            timeout = Duration::MAX;
+            continue;
+        }
+        for job in batch.drain(..) {
             match job {
                 Job::Bind { slot } => shard.bind(slot),
                 Job::Reset { slot } => shard.reset(slot),
@@ -906,21 +1004,17 @@ fn worker_loop(mut shard: Shard<Stamp>, ingress: &Receiver<Job>, egress: &Sender
                 }
             }
             // A job that ran the pending tick first.
-            send_home(&mut shard, egress);
+            send_home(&mut shard, home);
         }
-        shard.run_tick();
-        send_home(&mut shard, egress);
+        timeout = Duration::ZERO;
     }
 }
 
-/// Sends every frame `shard` scored home, one [`Done`] each.
+/// Sends every frame `shard` scored home. A closed home drops them: a
+/// shard worker has exited, and the pool fails its next wait.
 // lint: hot-path
-fn send_home(shard: &mut Shard<Stamp>, egress: &Sender<Done>) {
-    for Scored { tag: (session, index, submitted), frame, output } in shard.take_scored() {
-        let decision = Decision { session, frame: index, output };
-        // The pool may already be gone at shutdown.
-        let _ = egress.send(Done { decision, submitted, frame });
-    }
+fn send_home(shard: &mut Shard<Stamp>, home: &Queue<Scored<Stamp>>) {
+    home.put(shard.take_scored());
 }
 
 /// Splits `0..len` into at most `parts` contiguous chunks whose sizes

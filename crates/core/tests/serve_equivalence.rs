@@ -1,5 +1,6 @@
 //! The serving determinism guarantee: a `ShardedMonitorPool` (multiple
-//! worker threads, cross-session micro-batching, channel transport) must
+//! worker threads, cross-session micro-batching, a job queue per shard and
+//! one queue home) must
 //! produce **bit-exactly** the decisions of one `InferenceEngine` per
 //! session stepped frame by frame, across every `ContextMode` and multiple
 //! training seeds.
@@ -8,7 +9,7 @@
 use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
 use context_monitor::{
     step_batch, BatchJob, BatchScratch, ContextMode, EngineError, InferenceEngine, MonitorConfig,
-    Precision, TrainedPipeline,
+    Precision, TrainStages, TrainedPipeline,
 };
 use gestures::Task;
 use jigsaws::{generate, GeneratorConfig};
@@ -253,7 +254,7 @@ fn missing_context_is_a_typed_error_not_a_panic() {
 }
 
 /// The pool-level latency telemetry measures every warm decision drained
-/// through `poll_into`/`flush` — compute per warm decision,
+/// through `flush` — compute per warm decision,
 /// ingress-to-egress queueing per frame — and keeps its quantiles ordered,
 /// on both numeric tiers.
 #[test]
@@ -514,6 +515,30 @@ fn remove_session_leaves_survivors_bit_identical() {
     }
     let fresh = collect(&mut fresh_pool, 1).remove(0);
     assert_eq!(recycled, fresh, "a recycled slot must start as cold as a fresh pool");
+}
+
+/// A shard worker that dies with frames in flight fails the flush loudly,
+/// even while another worker lives: the one-arm frame panics shard 0's
+/// worker at the normalizer's dimension check, and the flush must not wait
+/// forever for its decision.
+#[test]
+#[should_panic(expected = "shard worker exited while frames were in flight")]
+fn flush_fails_loud_when_a_shard_worker_dies_with_frames_in_flight() {
+    let ds = generate(&GeneratorConfig::fast(Task::Suturing).with_seed(79));
+    let cfg = MonitorConfig::fast(FeatureSet::CRG).with_seed(79);
+    let untrained = TrainStages { gesture: false, errors: false };
+    let (pipeline, _) = TrainedPipeline::train_stages(&ds, &[0, 1], &cfg, untrained);
+    let mut pool = ShardedMonitorPool::with_sessions(
+        Arc::new(pipeline),
+        ContextMode::Predicted,
+        ServeConfig { workers: 2, threshold: 0.5, precision: Precision::F32 },
+        2, // session 0 -> shard 0, session 1 -> shard 1
+    );
+    let mut one_arm = ds.demos[0].frames[0].clone();
+    one_arm.manipulators.truncate(1);
+    pool.submit(0, &one_arm).expect("Predicted mode");
+    pool.submit(1, &ds.demos[1].frames[0]).expect("Predicted mode");
+    pool.flush_into(&mut Vec::new());
 }
 
 /// Submitting to a removed session is a programming error and dies loud.
