@@ -3,9 +3,9 @@
 //! The paper compares its stacked-LSTM gesture classifier against two
 //! kinematics-only state-of-the-art methods:
 //!
-//! * **SC-CRF** (Lea et al. [44]) — a skip-chain conditional random field
+//! * **SC-CRF** (Lea et al. \[44\]) — a skip-chain conditional random field
 //!   ([`sccrf::ScCrf`]),
-//! * **SDSDL** (Sefati et al. [45]) — shared discriminative sparse
+//! * **SDSDL** (Sefati et al. \[45\]) — shared discriminative sparse
 //!   dictionary learning with a multi-class linear SVM ([`sdsdl::Sdsdl`]).
 //!
 //! Both consume per-frame kinematics and emit per-frame gesture labels, so

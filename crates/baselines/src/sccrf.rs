@@ -1,5 +1,5 @@
 //! Skip-Chain Conditional Random Field gesture segmentation, after
-//! Lea et al. [44] ("a variation of the Skip-Chain CRF that can better
+//! Lea et al. \[44\] ("a variation of the Skip-Chain CRF that can better
 //! capture transitions between gestures over longer periods of frames").
 //!
 //! Structure: linear-chain transitions plus *skip edges* of length `k`

@@ -1,5 +1,5 @@
 //! Shared Discriminative Sparse Dictionary Learning, after Sefati et al.
-//! [45]: "jointly learn a common dictionary for all gestures in an
+//! \[45\]: "jointly learn a common dictionary for all gestures in an
 //! unsupervised manner together with the parameters of a multi-class linear
 //! SVM".
 //!

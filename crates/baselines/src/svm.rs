@@ -1,5 +1,5 @@
 //! One-vs-rest linear SVM trained by SGD on the hinge loss (the multi-class
-//! linear SVM used by SDSDL [45]).
+//! linear SVM used by SDSDL \[45\]).
 
 use nn::Mat;
 use rand::rngs::SmallRng;

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eval::{dtw_1d, GaussianKde};
-use nn::layers::{LayerSpec, Mode, Padding};
+use nn::layers::{LayerSpec, Padding};
 use nn::{Mat, Network, NetworkSpec};
 use raven_sim::{run_block_transfer, NoFaults, SimConfig};
 use std::hint::black_box;
@@ -58,7 +58,7 @@ fn bench_layers(c: &mut Criterion) {
         1,
     );
     c.bench_function("stacked_lstm_64_32_forward_w5", |b| {
-        b.iter(|| black_box(lstm.forward(black_box(&x), Mode::Eval)))
+        b.iter(|| black_box(lstm.forward(black_box(&x))))
     });
 
     let mut conv = Network::new(
@@ -77,7 +77,7 @@ fn bench_layers(c: &mut Criterion) {
     );
     let x10 = Mat::full(10, 38, 0.3);
     c.bench_function("conv1d_head_forward_w10", |b| {
-        b.iter(|| black_box(conv.forward(black_box(&x10), Mode::Eval)))
+        b.iter(|| black_box(conv.forward(black_box(&x10))))
     });
 }
 

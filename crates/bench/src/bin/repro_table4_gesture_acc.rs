@@ -1,5 +1,5 @@
 //! Table IV — gesture classification accuracy in the LOSO setup:
-//! our stacked-LSTM classifier vs. SC-CRF [44] vs. SDSDL [45] on the three
+//! our stacked-LSTM classifier vs. SC-CRF \[44\] vs. SDSDL \[45\] on the three
 //! JIGSAWS tasks, plus the Block Transfer task (ours only, as in the paper).
 
 use baselines::{ScCrf, ScCrfConfig, Sdsdl, SdsdlConfig};

@@ -905,7 +905,7 @@ mod tests {
     /// inference code: windows are row slices of the whole demo's
     /// normalized feature matrix, so stage 1 sees raw feature windows, not
     /// the engine's projected rows. On f32 both stages run the
-    /// training-side `Network::predict` (`forward`, not `infer_batch_into`);
+    /// training-side `Network::forward`, not `infer_batch_into`;
     /// on int8 they run `QuantizedNetwork::predict_scratch` on the whole
     /// window. Smoothing is the `mode_of` recount, routing reads the
     /// tier's classifier maps directly (not `error_route`), and the score
@@ -935,7 +935,7 @@ mod tests {
                     let window = gfeats.slice_rows(t + 1 - gw, t + 1);
                     let logits = match (precision, pipeline.quantized.as_ref()) {
                         (Precision::Int8, Some(q)) => predict_q(&q.gesture_net, &window),
-                        _ => pipeline.gesture_net.predict(&window),
+                        _ => pipeline.gesture_net.forward(&window),
                     };
                     raw.push(first_max(logits.row(0)));
                     stage1 = Some(logit_bits(logits.row(0)));
@@ -969,7 +969,7 @@ mod tests {
                         Some(g) => pipeline.error_nets.get_mut(&g),
                         None => pipeline.global_error_net.as_mut(),
                     }
-                    .map(|net| net.predict(&window)),
+                    .map(|net| net.forward(&window)),
                 };
                 // No classifier at all: the score is 0.
                 logits.map_or(0.0, |l| nn::loss::softmax(l.row(0))[1])

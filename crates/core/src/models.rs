@@ -54,13 +54,13 @@ pub fn error_classifier_spec(cfg: &MonitorConfig, in_dim: usize) -> NetworkSpec 
 mod tests {
     use super::*;
     use kinematics::FeatureSet;
-    use nn::{Mat, Mode, Network};
+    use nn::{Mat, Network};
 
     #[test]
     fn gesture_spec_produces_15_logits() {
         let cfg = MonitorConfig::fast(FeatureSet::ALL);
         let mut net = Network::new(gesture_classifier_spec(&cfg, 38), 1);
-        let y = net.forward(&Mat::zeros(5, 38), Mode::Eval);
+        let y = net.forward(&Mat::zeros(5, 38));
         assert_eq!(y.shape(), (1, NUM_GESTURES));
     }
 
@@ -68,9 +68,9 @@ mod tests {
     fn error_specs_produce_binary_logits() {
         let cfg = MonitorConfig::fast(FeatureSet::CG);
         let mut conv = Network::new(error_classifier_spec(&cfg, 8), 1);
-        assert_eq!(conv.forward(&Mat::zeros(10, 8), Mode::Eval).shape(), (1, 2));
+        assert_eq!(conv.forward(&Mat::zeros(10, 8)).shape(), (1, 2));
         let cfg = cfg.with_error_model(crate::config::ErrorModelKind::Lstm { hidden: 8, dense: 8 });
         let mut lstm = Network::new(error_classifier_spec(&cfg, 8), 1);
-        assert_eq!(lstm.forward(&Mat::zeros(10, 8), Mode::Eval).shape(), (1, 2));
+        assert_eq!(lstm.forward(&Mat::zeros(10, 8)).shape(), (1, 2));
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! Within a shard, frames are processed in **micro-batched ticks**: the
 //! worker drains its job queue and advances every distinct session one
-//! frame via [`engine::step_batch`], which fuses the stage-1 forward passes
+//! frame via [`step_batch`], which fuses the stage-1 forward passes
 //! of all warm sessions into one batched network evaluation and groups
 //! stage-2 windows by their routed error classifier. [`Shard`] holds those
 //! tick rules once; the network ingress service in `crates/ingress` drives
@@ -201,6 +201,13 @@ impl<T> Queue<T> {
         self.ready.notify_all();
     }
 
+    /// Whether the queue is closed. A shard worker's job queue closes while
+    /// the pool is alive only when the worker's thread is ending.
+    // lint: hot-path
+    fn is_closed(&self) -> bool {
+        lock(&self.state).closed
+    }
+
     /// Swaps everything queued into `into`, which its last use left empty,
     /// after waiting up to `timeout` (`Duration::MAX`: as long as it takes)
     /// while nothing is queued and the queue is open. Returns whether the
@@ -362,7 +369,8 @@ pub struct ShardedMonitorPool {
     /// fresh clone happens only while the in-flight high-water mark is
     /// still growing).
     spare_frames: Vec<KinematicSample>,
-    handles: Vec<JoinHandle<()>>,
+    /// Shard worker threads; a dead worker's is taken when it is joined.
+    handles: Vec<Option<JoinHandle<()>>>,
     /// Placement of every session id ever opened: `Some((shard, slot))`
     /// while live, `None` once removed. Session ids are never reused
     /// (decisions in flight at removal stay unambiguous); engine slots are.
@@ -406,7 +414,7 @@ impl ShardedMonitorPool {
             // Built here, so a misconfiguration panics on the caller's thread.
             let shard = Shard::new(Arc::clone(&pipeline), mode, config);
             let (own, home) = (Arc::clone(&queue), Arc::clone(&home));
-            handles.push(std::thread::spawn(move || worker_loop(shard, &own, &home)));
+            handles.push(Some(std::thread::spawn(move || worker_loop(shard, &own, &home))));
             jobs.push(queue);
         }
         Self {
@@ -678,8 +686,13 @@ impl ShardedMonitorPool {
             let closed = self.home.take_into(&mut arrived, timeout);
             if arrived.is_empty() {
                 if closed {
-                    // lint: allow(panic, reason = "a dead shard worker while frames are in flight means lost decisions; the monitor must not limp on")
-                    panic!("shard worker exited while frames were in flight");
+                    // A worker's exit guard closes its own job queue before
+                    // the queue home.
+                    let dead = self.jobs.iter().position(|q| q.is_closed()).unwrap_or(0);
+                    self.worker_died(
+                        dead,
+                        format_args!("shard worker exited while frames were in flight"),
+                    );
                 }
                 complete = false;
                 break;
@@ -767,12 +780,45 @@ impl ShardedMonitorPool {
     }
 
     // lint: hot-path
-    fn send(&self, shard: usize, job: Job) {
+    fn send(&mut self, shard: usize, job: Job) {
         // lint: allow(panic, reason = "callers pass a placement add_session stored or an index inject_stall asserted")
         if !self.jobs[shard].put(std::iter::once(job)) {
-            // lint: allow(panic, reason = "a worker exits only on pool drop; losing one while the pool is alive must fail loud")
-            panic!("shard worker {shard} exited while the pool was alive");
+            self.worker_died(
+                shard,
+                format_args!("shard worker {shard} exited while the pool was alive"),
+            );
         }
+    }
+
+    /// Fails the pool loud: shard worker `shard` has exited while the pool
+    /// is alive, which only a panic in its thread does. Joins the worker
+    /// and appends its panic message to `what`, so the cause reaches the
+    /// caller and not only stderr. Runs only on the way to the pool's own
+    /// panic, and allocates nothing before it, as its hot-path callers
+    /// require.
+    // lint: hot-path
+    #[cold]
+    fn worker_died(&mut self, shard: usize, what: std::fmt::Arguments<'_>) -> ! {
+        // Only a worker whose exit guard closed its job queue is ending;
+        // joining a live one would wait forever.
+        let handle = match self.jobs.get(shard) {
+            Some(jobs) if jobs.is_closed() => self.handles.get_mut(shard).and_then(Option::take),
+            _ => None,
+        };
+        let payload = match handle {
+            Some(handle) => handle.join().err(),
+            None => None,
+        };
+        let cause = match payload.as_deref() {
+            Some(p) => match (p.downcast_ref::<&str>(), p.downcast_ref::<String>()) {
+                (Some(text), _) => text,
+                (_, Some(text)) => text.as_str(),
+                _ => "a payload that is not text",
+            },
+            None => "no panic message",
+        };
+        // lint: allow(panic, reason = "a dead shard worker means lost decisions; the monitor must not limp on")
+        panic!("{what}: shard {shard} panicked: {cause}");
     }
 }
 
@@ -782,7 +828,7 @@ impl Drop for ShardedMonitorPool {
         for jobs in &self.jobs {
             jobs.close();
         }
-        for handle in self.handles.drain(..) {
+        for handle in self.handles.iter_mut().filter_map(Option::take) {
             let _ = handle.join();
         }
     }

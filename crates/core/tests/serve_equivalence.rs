@@ -13,8 +13,9 @@ use context_monitor::{
 };
 use gestures::Task;
 use jigsaws::{generate, GeneratorConfig};
-use kinematics::{Dataset, FeatureSet};
+use kinematics::{Dataset, FeatureSet, KinematicSample};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tiny_pipeline(seed: u64) -> (TrainedPipeline, Dataset) {
     let ds = generate(&GeneratorConfig::fast(Task::Suturing).with_seed(seed));
@@ -383,7 +384,7 @@ fn sharded_reset_session_replays_bit_equal() {
 /// the next drain, and nothing is lost.
 #[test]
 fn drain_deadline_leaves_stalled_decisions_for_the_next_drain() {
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
     let (pipeline, ds) = tiny_pipeline(59);
     let mut pool = ShardedMonitorPool::with_sessions(
         Arc::new(pipeline),
@@ -418,7 +419,7 @@ fn drain_deadline_leaves_stalled_decisions_for_the_next_drain() {
 /// must not hold up the flush of a frame on another shard.
 #[test]
 fn flush_waits_for_in_flight_frames_not_for_a_stalled_idle_shard() {
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
     let (pipeline, ds) = tiny_pipeline(59);
     let mut pool = ShardedMonitorPool::with_sessions(
         Arc::new(pipeline),
@@ -517,28 +518,56 @@ fn remove_session_leaves_survivors_bit_identical() {
     assert_eq!(recycled, fresh, "a recycled slot must start as cold as a fresh pool");
 }
 
-/// A shard worker that dies with frames in flight fails the flush loudly,
-/// even while another worker lives: the one-arm frame panics shard 0's
-/// worker at the normalizer's dimension check, and the flush must not wait
-/// forever for its decision.
-#[test]
-#[should_panic(expected = "shard worker exited while frames were in flight")]
-fn flush_fails_loud_when_a_shard_worker_dies_with_frames_in_flight() {
+/// A two-worker pool over an untrained pipeline (session 0 on shard 0,
+/// session 1 on shard 1), the dataset, and a frame with one arm: submitted
+/// to session 0, it panics shard 0's worker at the normalizer's dimension
+/// check.
+fn pool_and_one_arm_frame() -> (ShardedMonitorPool, Dataset, KinematicSample) {
     let ds = generate(&GeneratorConfig::fast(Task::Suturing).with_seed(79));
     let cfg = MonitorConfig::fast(FeatureSet::CRG).with_seed(79);
     let untrained = TrainStages { gesture: false, errors: false };
     let (pipeline, _) = TrainedPipeline::train_stages(&ds, &[0, 1], &cfg, untrained);
-    let mut pool = ShardedMonitorPool::with_sessions(
+    let pool = ShardedMonitorPool::with_sessions(
         Arc::new(pipeline),
         ContextMode::Predicted,
         ServeConfig { workers: 2, threshold: 0.5, precision: Precision::F32 },
-        2, // session 0 -> shard 0, session 1 -> shard 1
+        2,
     );
     let mut one_arm = ds.demos[0].frames[0].clone();
     one_arm.manipulators.truncate(1);
+    (pool, ds, one_arm)
+}
+
+/// A shard worker that dies with frames in flight fails the flush loudly,
+/// even while another worker lives, and names the worker's own panic: the
+/// flush must not wait forever for the lost decision.
+#[test]
+#[should_panic(
+    expected = "shard worker exited while frames were in flight: shard 0 panicked: assertion \
+                `left == right` failed: Normalizer::apply_frame_inplace: dimension mismatch"
+)]
+fn flush_fails_loud_when_a_shard_worker_dies_with_frames_in_flight() {
+    let (mut pool, ds, one_arm) = pool_and_one_arm_frame();
     pool.submit(0, &one_arm).expect("Predicted mode");
     pool.submit(1, &ds.demos[1].frames[0]).expect("Predicted mode");
     pool.flush_into(&mut Vec::new());
+}
+
+/// A job sent to a dead shard worker fails loud with the worker's own
+/// panic. Stalls of zero length go to shard 0 until one finds its worker
+/// gone, for at most ten seconds.
+#[test]
+#[should_panic(
+    expected = "shard worker 0 exited while the pool was alive: shard 0 panicked: assertion \
+                `left == right` failed: Normalizer::apply_frame_inplace: dimension mismatch"
+)]
+fn send_fails_loud_when_a_shard_worker_has_died() {
+    let (mut pool, _, one_arm) = pool_and_one_arm_frame();
+    pool.submit(0, &one_arm).expect("Predicted mode");
+    for _ in 0..10_000 {
+        pool.inject_stall(0, Duration::ZERO);
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Submitting to a removed session is a programming error and dies loud.

@@ -9,7 +9,7 @@
 //!   detection ([`timing`]),
 //! * distribution analysis: Gaussian KDE ([`kde`]) and Jensen–Shannon
 //!   divergence (Equation 1, [`divergence`]) used for Fig. 5,
-//! * dynamic time warping ([`dtw`]) used by the vision-based failure
+//! * dynamic time warping ([`dtw`](mod@dtw)) used by the vision-based failure
 //!   labeling of §IV-B,
 //! * summary statistics ([`stats`]).
 

@@ -3,7 +3,7 @@
 //!
 //! §IV-B: "We collected 20 fault-free demonstrations … The dataset collected
 //! from the simulation experiments consisted of 115 fault-free and faulty
-//! demonstrations", and errors were labeled by "record[ing] the time that we
+//! demonstrations", and errors were labeled by "record\[ing\] the time that we
 //! injected the fault … and the time that the fault led to any of the common
 //! errors … and then mapped those times to the corresponding gestures."
 

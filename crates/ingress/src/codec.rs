@@ -28,7 +28,7 @@
 //!
 //! Decoding never trusts the peer: the length prefix is bounds-checked
 //! against [`MAX_BODY`] **before any buffer growth**, every payload read
-//! is checked ([`Cursor`]), a declared manipulator count is verified
+//! is checked (`Cursor`), a declared manipulator count is verified
 //! against the actual body length, and every manipulator variable must be
 //! finite. The whole module is in the workspace linter's no-panic scope
 //! (`lint.toml`); malformed input surfaces as [`ProtoError`], not as a

@@ -282,15 +282,13 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 const PANIC_METHODS: &[&str] = &[".unwrap(", ".unwrap_err(", ".expect(", ".expect_err("];
 
 fn check_panic(file: &SourceFile, allows: &mut AllowTable, out: &mut FileFindings) {
-    let masked = &file.masked;
-    let b = masked.as_bytes();
-    let mut flag = |at: usize, what: String, out: &mut FileFindings| {
+    for (at, what) in panic_hits(file, 0, file.masked.len()) {
         if file.in_test(at) {
-            return;
+            continue;
         }
         let line = file.line_of(at);
         if allows.consume("panic", line).is_some() {
-            return;
+            continue;
         }
         out.diagnostics.push(Diagnostic {
             file: file.rel.clone(),
@@ -302,28 +300,7 @@ fn check_panic(file: &SourceFile, allows: &mut AllowTable, out: &mut FileFinding
             ),
             chain: Vec::new(),
         });
-    };
-
-    for mac in PANIC_MACROS {
-        for at in token_offsets(masked, mac) {
-            // Only the macro form: `panic!`, possibly with whitespace.
-            if let Some((_, c)) = next_token(b, at + mac.len()) {
-                if c == b'!' {
-                    flag(at, format!("`{mac}!`"), out);
-                }
-            }
-        }
     }
-
-    for method in PANIC_METHODS {
-        let mut from = 0usize;
-        while let Some(pos) = masked[from..].find(method) {
-            let at = from + pos;
-            flag(at, format!("`{}()`", &method[1..method.len() - 1]), out);
-            from = at + method.len();
-        }
-    }
-
     check_indexing(file, allows, out);
 }
 
@@ -436,86 +413,71 @@ fn check_hot_paths(file: &SourceFile, allows: &mut AllowTable, out: &mut FileFin
                 continue;
             }
         };
-        let body = &file.masked[tagged.body_start..=tagged.body_end];
-        for pat in ALLOC_SUBSTRINGS {
-            let mut from = 0usize;
-            while let Some(pos) = body[from..].find(pat) {
-                let at = tagged.body_start + from + pos;
-                from += pos + pat.len();
-                if file.in_test(at) {
-                    continue;
-                }
-                let at_line = file.line_of(at);
-                if allows.consume("alloc", at_line).is_some() {
-                    continue;
-                }
-                out.diagnostics.push(Diagnostic {
-                    file: file.rel.clone(),
-                    line: at_line,
-                    rule: "alloc",
-                    message: format!(
-                        "`{pat}` allocates inside hot-path fn `{}` — hoist it to construction \
-                         or justify with `// lint: allow(alloc, reason = \"...\")`",
-                        tagged.name
-                    ),
-                    chain: Vec::new(),
-                });
+        for (at, pat) in alloc_hits(file, tagged.body_start, tagged.body_end + 1) {
+            if file.in_test(at) {
+                continue;
             }
+            let at_line = file.line_of(at);
+            if allows.consume("alloc", at_line).is_some() {
+                continue;
+            }
+            out.diagnostics.push(Diagnostic {
+                file: file.rel.clone(),
+                line: at_line,
+                rule: "alloc",
+                message: format!(
+                    "`{pat}` allocates inside hot-path fn `{}` — hoist it to construction \
+                     or justify with `// lint: allow(alloc, reason = \"...\")`",
+                    tagged.name
+                ),
+                chain: Vec::new(),
+            });
         }
     }
 }
 
-/// Every (line, pattern) allocation hit in the masked byte span
-/// `[start, end]` of `file` — shared by the lexical hot-path audit and
-/// the transitive allocation pass.
+/// Every (byte offset, pattern) allocation hit in the masked byte span
+/// `start..end` of `file`, in offset order — the one scanner behind the
+/// lexical hot-path audit and the transitive allocation pass.
 pub fn alloc_hits(file: &SourceFile, start: usize, end: usize) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
-    let body = &file.masked[start..=end.min(file.masked.len().saturating_sub(1))];
+    let body = &file.masked[start..end.min(file.masked.len())];
     for pat in ALLOC_SUBSTRINGS {
-        let mut from = 0usize;
-        while let Some(pos) = body[from..].find(pat) {
-            let at = start + from + pos;
-            from += pos + pat.len();
-            out.push((file.line_of(at), *pat));
-        }
+        out.extend(body.match_indices(pat).map(|(at, _)| (start + at, *pat)));
     }
     out.sort_unstable();
     out
 }
 
-/// Every (line, what) panic-family hit in the masked byte span of `file`:
-/// the panic macros and the panicking `unwrap`/`expect` methods.
-/// Deliberately **not** `expr[...]` indexing — indexing is ubiquitous,
-/// bounds are usually pinned by construction, and flagging it across the
-/// whole conservative reachability closure would drown the audit in
-/// unfixable noise; the lexical rule still bans it inside the scoped
-/// decision-path files themselves (DESIGN.md §8).
+/// Every (byte offset, what) panic-family hit in the masked byte span
+/// `start..end` of `file`, in offset order: the panic macros and the
+/// panicking `unwrap`/`expect` methods. The one scanner behind the lexical
+/// no-panic rule and the transitive panic pass. Deliberately **not**
+/// `expr[...]` indexing — indexing is ubiquitous, bounds are usually pinned
+/// by construction, and flagging it across the whole conservative
+/// reachability closure would drown the audit in unfixable noise; the
+/// lexical rule still bans it inside the scoped decision-path files
+/// themselves (`check_indexing`, DESIGN.md §8).
 pub fn panic_hits(file: &SourceFile, start: usize, end: usize) -> Vec<(usize, String)> {
     let masked = &file.masked;
     let b = masked.as_bytes();
+    let end = end.min(masked.len());
     let mut out = Vec::new();
     for mac in PANIC_MACROS {
         for at in token_offsets(masked, mac) {
-            if at < start || at > end {
-                continue;
-            }
-            if let Some((_, c)) = next_token(b, at + mac.len()) {
-                if c == b'!' {
-                    out.push((file.line_of(at), format!("`{mac}!`")));
-                }
+            // Only the macro form: `panic!`, possibly with whitespace.
+            if (start..end).contains(&at)
+                && next_token(b, at + mac.len()).map(|t| t.1) == Some(b'!')
+            {
+                out.push((at, format!("`{mac}!`")));
             }
         }
     }
     for method in PANIC_METHODS {
-        let mut from = start;
-        while let Some(pos) = masked[from..=end].find(method) {
-            let at = from + pos;
-            out.push((file.line_of(at), format!("`{}()`", &method[1..method.len() - 1])));
-            from = at + method.len();
-            if from > end {
-                break;
-            }
-        }
+        let what = format!("`{}()`", &method[1..method.len() - 1]);
+        out.extend(
+            masked[start..end].match_indices(method).map(|(at, _)| (start + at, what.clone())),
+        );
     }
     out.sort_unstable();
     out

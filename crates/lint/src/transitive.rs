@@ -98,7 +98,8 @@ pub fn run(
         }
         let Some((bs, be)) = def.item.body else { continue };
         let file = &files[def.file];
-        for (line, pat) in alloc_hits(file, bs, be) {
+        for (at, pat) in alloc_hits(file, bs, be + 1) {
+            let line = file.line_of(at);
             if allows[def.file].consume("alloc", line).is_some() {
                 continue;
             }
@@ -177,7 +178,8 @@ pub fn run(
         }
         let Some((bs, be)) = def.item.body else { continue };
         let file = &files[def.file];
-        for (line, what) in panic_hits(file, bs, be) {
+        for (at, what) in panic_hits(file, bs, be + 1) {
+            let line = file.line_of(at);
             if allows[def.file].consume("panic", line).is_some() {
                 continue;
             }
@@ -242,14 +244,4 @@ pub fn reach_cell(graph: &CallGraph, info: &TransitiveInfo, file: usize, offset:
     } else {
         parts.join(" · ")
     }
-}
-
-/// Test-only helper: whether `def` (by qualified name) is reachable from
-/// the hot roots — used by the fixture self-tests to pin closure shape.
-pub fn hot_reaches(graph: &CallGraph, info: &TransitiveInfo, qualified: &str) -> bool {
-    graph
-        .defs
-        .iter()
-        .enumerate()
-        .any(|(i, d)| d.item.qualified_name() == qualified && info.hot.reached(i))
 }

@@ -2,7 +2,7 @@
 
 use crate::init;
 use crate::kernels::{self, GemmScratch};
-use crate::layers::{LayerScratch, Mode, Padding, SeqLayer};
+use crate::layers::{LayerScratch, Padding, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
 use rand::Rng;
@@ -143,7 +143,7 @@ impl Conv1d {
 }
 
 impl SeqLayer for Conv1d {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         assert_eq!(
             x.cols(),
             self.in_channels,
@@ -168,10 +168,6 @@ impl SeqLayer for Conv1d {
         self.cached_input_rows = x.rows();
         self.cached_patches = Some(patches);
         y
-    }
-
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
-        self.infer_batch_into(x, 1, out, scratch);
     }
 
     fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
@@ -273,7 +269,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let mut l = Conv1d::new(2, 3, 3, Padding::Same, &mut rng);
         let x = Mat::full(7, 2, 1.0);
-        assert_eq!(l.forward(&x, Mode::Eval).shape(), (7, 3));
+        assert_eq!(l.forward(&x).shape(), (7, 3));
     }
 
     #[test]
@@ -284,7 +280,7 @@ mod tests {
         l.weight.value = Mat::from_rows(&[&[2.0], &[3.0]]);
         l.bias.value = Mat::from_rows(&[&[1.0]]);
         let x = Mat::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let y = l.forward(&x, Mode::Eval);
+        let y = l.forward(&x);
         // y[0] = 2*1 + 3*2 + 1 = 9 ; y[1] = 2*2 + 3*3 + 1 = 14
         assert_eq!(y, Mat::from_rows(&[&[9.0], &[14.0]]));
     }
@@ -310,6 +306,6 @@ mod tests {
     fn rejects_input_shorter_than_kernel() {
         let mut rng = SmallRng::seed_from_u64(1);
         let mut l = Conv1d::new(1, 1, 5, Padding::Valid, &mut rng);
-        let _ = l.forward(&Mat::full(3, 1, 0.0), Mode::Eval);
+        let _ = l.forward(&Mat::full(3, 1, 0.0));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::init;
 use crate::kernels::{self, GemmScratch};
-use crate::layers::{LayerScratch, Mode, SeqLayer};
+use crate::layers::{LayerScratch, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
 use rand::Rng;
@@ -49,7 +49,7 @@ impl Dense {
 }
 
 impl SeqLayer for Dense {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         let mut y = Mat::zeros(0, 0);
         kernels::matmul_into(x, &self.weight.value, &mut y, &mut self.gemm);
         y.add_row_inplace(self.bias.value.row(0));
@@ -57,9 +57,9 @@ impl SeqLayer for Dense {
         y
     }
 
-    // Row-wise: the default `infer_batch_into` (one stacked matmul over all
-    // sequences) is both correct and the batched fast path.
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
+    // Row-wise: one matmul over the whole stacked batch is both correct and
+    // the batched fast path.
+    fn infer_batch_into(&self, x: &Mat, _batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
         kernels::matmul_into(x, &self.weight.value, out, &mut scratch.gemm);
         out.add_row_inplace(self.bias.value.row(0));
     }
@@ -97,7 +97,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut layer = Dense::new(4, 2, &mut rng);
         let x = Mat::full(5, 4, 0.5);
-        let y = layer.forward(&x, Mode::Eval);
+        let y = layer.forward(&x);
         assert_eq!(y.shape(), (5, 2));
         assert_eq!(layer.in_dim(), 4);
         assert_eq!(layer.out_dim(), 2);
@@ -109,7 +109,7 @@ mod tests {
         let mut layer = Dense::new(2, 2, &mut rng);
         layer.weight.value = Mat::from_rows(&[&[1., 2.], &[3., 4.]]);
         layer.bias.value = Mat::from_rows(&[&[0.5, -0.5]]);
-        let y = layer.forward(&Mat::from_rows(&[&[1., 1.]]), Mode::Eval);
+        let y = layer.forward(&Mat::from_rows(&[&[1., 1.]]));
         assert_eq!(y, Mat::from_rows(&[&[4.5, 5.5]]));
     }
 

@@ -2,16 +2,14 @@
 //!
 //! Data flows through the network as `(time, features)` matrices; plain
 //! feature vectors are `(1, features)`. A layer either preserves the time
-//! axis (Dense applied per-row, activations, LSTM with
+//! axis (Dense applied per-row, ReLU, LSTM with
 //! `return_sequences = true`), shrinks it (Conv1d, MaxPool1d), or reduces it
 //! away ([`reduce::TakeLast`], [`pool::GlobalMaxPool`], [`reduce::Flatten`]).
 
 pub mod activation;
 pub mod conv1d;
 pub mod dense;
-pub mod dropout;
 pub mod lstm;
-pub mod norm;
 pub mod pool;
 pub mod reduce;
 
@@ -19,17 +17,6 @@ use crate::mat::Mat;
 use crate::param::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Whether a forward pass is part of training (enables dropout, batch-stat
-/// updates) or inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Mode {
-    /// Training: dropout active, normalization uses batch statistics.
-    Train,
-    /// Inference: deterministic forward pass.
-    #[default]
-    Eval,
-}
 
 /// Caller-owned scratch buffers for the allocation-free inference paths.
 ///
@@ -65,35 +52,27 @@ pub struct LayerScratch {
 ///
 /// `backward` must be called immediately after the `forward` whose
 /// intermediate state it relies on; layers cache activations internally.
-/// Inference (`infer_into` / `infer_batch_into`) takes `&self` plus
+/// Inference ([`SeqLayer::infer_batch_into`]) takes `&self` plus
 /// caller-owned [`LayerScratch`], so a trained layer is `Sync`-shareable.
 pub trait SeqLayer: Send + Sync {
-    /// Computes the layer output for input `x`.
-    fn forward(&mut self, x: &Mat, mode: Mode) -> Mat;
+    /// Computes the layer output for input `x`, caching what `backward`
+    /// needs.
+    fn forward(&mut self, x: &Mat) -> Mat;
 
-    /// Inference-only forward pass writing the output into `out`.
+    /// Inference over `batch` equally shaped sequences stacked row-wise:
+    /// `x` is `(batch * T, F)` and the output is `(batch * T_out, F_out)`,
+    /// with each sequence's block bit-identical to what
+    /// [`SeqLayer::forward`] returns for that sequence alone (one sequence
+    /// is `batch = 1`).
     ///
-    /// Semantically identical (bit-for-bit) to `forward(x, Mode::Eval)`,
-    /// but caches nothing for `backward` and reuses the caller's scratch
-    /// and `out` allocations, so the steady-state hot path performs no heap
-    /// allocation and the layer itself is not mutated.
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch);
-
-    /// Batched inference over `batch` equally shaped sequences stacked
-    /// row-wise: `x` is `(batch * T, F)` and the output is
-    /// `(batch * T_out, F_out)` with each sequence's block bit-identical to
-    /// what [`SeqLayer::infer_into`] produces for that sequence alone.
-    ///
-    /// The default forwards to `infer_into`, which is correct **only** for
-    /// layers that treat every row independently (dense, activations,
-    /// eval-mode norm/dropout). Layers that mix information across time
-    /// steps (LSTM, Conv1d, pooling, reductions) must override it with a
-    /// sequence-aware implementation or batches would leak across session
-    /// boundaries.
-    fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch) {
-        debug_assert!(batch > 0 && x.rows().is_multiple_of(batch), "batch does not divide rows");
-        self.infer_into(x, out, scratch);
-    }
+    /// Caches nothing for `backward` and reuses the caller's scratch and
+    /// `out` allocations, so the steady-state hot path performs no heap
+    /// allocation and the layer itself is not mutated. Row-wise layers
+    /// (dense, ReLU) may treat the stack as one matrix; layers that mix
+    /// information across time steps (LSTM, Conv1d, pooling, reductions)
+    /// must keep each sequence's rows apart, or batches would leak across
+    /// session boundaries.
+    fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, scratch: &mut LayerScratch);
 
     /// This layer as an [`lstm::Lstm`], whose inference splits into a
     /// row-independent input projection and a recurrence; `None` for every
@@ -133,14 +112,6 @@ pub enum LayerSpec {
     Dense { in_dim: usize, out_dim: usize },
     /// Rectified linear unit.
     Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Inverted dropout with the given drop rate.
-    Dropout { rate: f32 },
-    /// Temporal batch normalization over the time axis.
-    BatchNorm { dim: usize },
     /// 1-D convolution over the time axis.
     Conv1d { in_channels: usize, out_channels: usize, kernel: usize, padding: Padding },
     /// Max pooling with kernel = stride.
@@ -169,10 +140,6 @@ pub fn build_layer(spec: &LayerSpec, rng: &mut impl Rng) -> Box<dyn SeqLayer> {
     match *spec {
         LayerSpec::Dense { in_dim, out_dim } => Box::new(dense::Dense::new(in_dim, out_dim, rng)),
         LayerSpec::Relu => Box::new(activation::Relu::new()),
-        LayerSpec::Tanh => Box::new(activation::TanhLayer::new()),
-        LayerSpec::Sigmoid => Box::new(activation::SigmoidLayer::new()),
-        LayerSpec::Dropout { rate } => Box::new(dropout::Dropout::new(rate, rng.gen())),
-        LayerSpec::BatchNorm { dim } => Box::new(norm::BatchNorm::new(dim)),
         LayerSpec::Conv1d { in_channels, out_channels, kernel, padding } => {
             Box::new(conv1d::Conv1d::new(in_channels, out_channels, kernel, padding, rng))
         }
@@ -199,10 +166,6 @@ mod tests {
         let specs = vec![
             LayerSpec::Dense { in_dim: 3, out_dim: 2 },
             LayerSpec::Relu,
-            LayerSpec::Tanh,
-            LayerSpec::Sigmoid,
-            LayerSpec::Dropout { rate: 0.5 },
-            LayerSpec::BatchNorm { dim: 3 },
             LayerSpec::Conv1d {
                 in_channels: 3,
                 out_channels: 4,

@@ -1,6 +1,6 @@
 //! Pooling layers over the time axis.
 
-use crate::layers::{LayerScratch, Mode, SeqLayer};
+use crate::layers::{LayerScratch, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
 
@@ -36,7 +36,7 @@ impl MaxPool1d {
 }
 
 impl SeqLayer for MaxPool1d {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         let t = x.rows();
         let c = x.cols();
         let t_out = self.output_len(t);
@@ -61,10 +61,6 @@ impl SeqLayer for MaxPool1d {
         self.argmax = Some(argmax);
         self.in_shape = (t, c);
         y
-    }
-
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
-        self.infer_batch_into(x, 1, out, scratch);
     }
 
     fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, _scratch: &mut LayerScratch) {
@@ -128,7 +124,7 @@ impl GlobalMaxPool {
 }
 
 impl SeqLayer for GlobalMaxPool {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         assert!(x.rows() > 0, "GlobalMaxPool: empty input");
         let c = x.cols();
         let mut y = Mat::zeros(1, c);
@@ -146,10 +142,6 @@ impl SeqLayer for GlobalMaxPool {
         self.argmax = Some(argmax);
         self.in_shape = x.shape();
         y
-    }
-
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
-        self.infer_batch_into(x, 1, out, scratch);
     }
 
     fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, _scratch: &mut LayerScratch) {
@@ -205,14 +197,10 @@ impl GlobalAvgPool {
 }
 
 impl SeqLayer for GlobalAvgPool {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         assert!(x.rows() > 0, "GlobalAvgPool: empty input");
         self.in_rows = x.rows();
         x.mean_rows()
-    }
-
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
-        self.infer_batch_into(x, 1, out, scratch);
     }
 
     fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, _scratch: &mut LayerScratch) {
@@ -268,7 +256,7 @@ mod tests {
     fn maxpool_shrinks_and_handles_partial_window() {
         let mut l = MaxPool1d::new(2);
         let x = Mat::from_rows(&[&[1.0], &[5.0], &[3.0], &[2.0], &[9.0]]);
-        let y = l.forward(&x, Mode::Eval);
+        let y = l.forward(&x);
         assert_eq!(y, Mat::from_rows(&[&[5.0], &[3.0], &[9.0]]));
     }
 
@@ -276,7 +264,7 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let mut l = MaxPool1d::new(2);
         let x = Mat::from_rows(&[&[1.0], &[5.0], &[3.0], &[2.0]]);
-        let _ = l.forward(&x, Mode::Eval);
+        let _ = l.forward(&x);
         let dx = l.backward(&Mat::from_rows(&[&[1.0], &[1.0]]));
         assert_eq!(dx, Mat::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]));
     }
@@ -299,6 +287,6 @@ mod tests {
     fn global_avg_pool_is_mean() {
         let mut l = GlobalAvgPool::new();
         let x = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(l.forward(&x, Mode::Eval), Mat::from_rows(&[&[2.0, 3.0]]));
+        assert_eq!(l.forward(&x), Mat::from_rows(&[&[2.0, 3.0]]));
     }
 }

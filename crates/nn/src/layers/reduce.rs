@@ -1,6 +1,6 @@
 //! Shape-manipulation layers: take-last and flatten.
 
-use crate::layers::{LayerScratch, Mode, SeqLayer};
+use crate::layers::{LayerScratch, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
 
@@ -19,14 +19,10 @@ impl TakeLast {
 }
 
 impl SeqLayer for TakeLast {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         assert!(x.rows() > 0, "TakeLast: empty input");
         self.in_rows = x.rows();
         x.slice_rows(x.rows() - 1, x.rows())
-    }
-
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
-        self.infer_batch_into(x, 1, out, scratch);
     }
 
     fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, _scratch: &mut LayerScratch) {
@@ -70,13 +66,9 @@ impl Flatten {
 }
 
 impl SeqLayer for Flatten {
-    fn forward(&mut self, x: &Mat, _mode: Mode) -> Mat {
+    fn forward(&mut self, x: &Mat) -> Mat {
         self.in_shape = x.shape();
         Mat::from_vec(1, x.len(), x.as_slice().to_vec())
-    }
-
-    fn infer_into(&self, x: &Mat, out: &mut Mat, scratch: &mut LayerScratch) {
-        self.infer_batch_into(x, 1, out, scratch);
     }
 
     fn infer_batch_into(&self, x: &Mat, batch: usize, out: &mut Mat, _scratch: &mut LayerScratch) {
@@ -108,7 +100,7 @@ mod tests {
     fn take_last_keeps_final_row() {
         let mut l = TakeLast::new();
         let x = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(l.forward(&x, Mode::Eval), Mat::from_rows(&[&[3.0, 4.0]]));
+        assert_eq!(l.forward(&x), Mat::from_rows(&[&[3.0, 4.0]]));
     }
 
     #[test]
@@ -122,7 +114,7 @@ mod tests {
     fn flatten_roundtrips_shape() {
         let mut l = Flatten::new();
         let x = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let y = l.forward(&x, Mode::Eval);
+        let y = l.forward(&x);
         assert_eq!(y.shape(), (1, 4));
         let dx = l.backward(&y);
         assert_eq!(dx, x);

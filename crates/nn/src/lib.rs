@@ -6,10 +6,9 @@
 //!
 //! * `(time, features)` sequence tensors ([`mat::Mat`]),
 //! * layers: [`layers::dense::Dense`], [`layers::lstm::Lstm`] (stacked LSTMs
-//!   with full BPTT), [`layers::conv1d::Conv1d`], pooling, dropout,
-//!   batch-norm, activations,
+//!   with full BPTT), [`layers::conv1d::Conv1d`], pooling, ReLU,
 //! * losses: (class-weighted) softmax cross-entropy,
-//! * optimizers: Adam and SGD with step-decay schedules,
+//! * the optimizer: Adam with a step-decay schedule,
 //! * a mini-batch training loop with early stopping
 //!   ([`train::train_classifier`]),
 //! * JSON weight checkpoints ([`network::SavedNetwork`]),
@@ -64,9 +63,9 @@ pub use kernels::int8::{active_gemm_i8_isa, gemm_i8_abt, gemm_i8_abt_with, naive
 pub use kernels::{
     active_gemm_isa, gemm_backend_label, set_gemm_backend, GemmBackend, GemmIsa, GemmScratch,
 };
-pub use layers::{LayerScratch, LayerSpec, Mode, Padding, SeqLayer};
+pub use layers::{LayerScratch, LayerSpec, Padding, SeqLayer};
 pub use mat::Mat;
 pub use network::{Network, NetworkScratch, NetworkSpec, SavedNetwork};
-pub use optim::{Adam, Sgd, StepDecay};
+pub use optim::{Adam, StepDecay};
 pub use quant::{QuantError, QuantScratch, QuantizedNetwork};
 pub use train::{evaluate, predict_proba, train_classifier, Sample, TrainConfig, TrainReport};

@@ -1,7 +1,7 @@
 //! Network container: an ordered stack of layers with (de)serialization.
 
 use crate::layers::lstm::Lstm;
-use crate::layers::{build_layer, LayerScratch, LayerSpec, Mode, SeqLayer};
+use crate::layers::{build_layer, LayerScratch, LayerSpec, SeqLayer};
 use crate::mat::Mat;
 use crate::param::Param;
 use rand::rngs::SmallRng;
@@ -28,7 +28,7 @@ impl NetworkSpec {
 ///
 /// ```
 /// use nn::network::{Network, NetworkSpec};
-/// use nn::layers::{LayerSpec, Mode};
+/// use nn::layers::LayerSpec;
 /// use nn::mat::Mat;
 ///
 /// let spec = NetworkSpec::new(vec![
@@ -36,7 +36,7 @@ impl NetworkSpec {
 ///     LayerSpec::Dense { in_dim: 8, out_dim: 3 },
 /// ]);
 /// let mut net = Network::new(spec, 42);
-/// let logits = net.forward(&Mat::zeros(10, 4), Mode::Eval);
+/// let logits = net.forward(&Mat::zeros(10, 4));
 /// assert_eq!(logits.shape(), (1, 3));
 /// ```
 pub struct Network {
@@ -169,11 +169,11 @@ impl Network {
         &self.spec
     }
 
-    /// Runs the forward pass.
-    pub fn forward(&mut self, x: &Mat, mode: Mode) -> Mat {
+    /// Runs the forward pass, caching what [`Network::backward`] needs.
+    pub fn forward(&mut self, x: &Mat) -> Mat {
         let mut cur = x.clone();
         for layer in &mut self.layers {
-            cur = layer.forward(&cur, mode);
+            cur = layer.forward(&cur);
         }
         cur
     }
@@ -207,15 +207,10 @@ impl Network {
         n
     }
 
-    /// Convenience: forward pass in eval mode.
-    pub fn predict(&mut self, x: &Mat) -> Mat {
-        self.forward(x, Mode::Eval)
-    }
-
     /// Allocation-free inference with **caller-owned** scratch: the network
     /// itself stays immutable, so one trained `Network` (it is `Sync`) can
     /// serve many engines/threads concurrently, each holding its own
-    /// [`NetworkScratch`]. Bit-identical to [`Network::predict`].
+    /// [`NetworkScratch`]. Bit-identical to [`Network::forward`].
     pub fn predict_scratch(&self, x: &Mat, out: &mut Mat, scratch: &mut NetworkScratch) {
         run_layers(&self.layers, x, 1, out, scratch);
     }
@@ -421,10 +416,28 @@ mod tests {
         ])
     }
 
+    /// The pooling and reduction kinds no served model builds, over a `(9, 3)`
+    /// input.
+    fn pool_and_reduce_spec() -> NetworkSpec {
+        NetworkSpec::new(vec![
+            LayerSpec::Conv1d {
+                in_channels: 3,
+                out_channels: 4,
+                kernel: 2,
+                padding: Padding::Valid,
+            },
+            LayerSpec::MaxPool1d { kernel: 2 },
+            LayerSpec::GlobalAvgPool,
+            LayerSpec::Dense { in_dim: 4, out_dim: 4 },
+            LayerSpec::Flatten,
+            LayerSpec::Dense { in_dim: 4, out_dim: 2 },
+        ])
+    }
+
     #[test]
     fn forward_produces_logits() {
         let mut net = Network::new(small_spec(), 1);
-        let y = net.forward(&Mat::full(8, 3, 0.5), Mode::Eval);
+        let y = net.forward(&Mat::full(8, 3, 0.5));
         assert_eq!(y.shape(), (1, 2));
     }
 
@@ -433,7 +446,7 @@ mod tests {
         let mut a = Network::new(small_spec(), 7);
         let mut b = Network::new(small_spec(), 7);
         let x = Mat::full(8, 3, 0.3);
-        assert_eq!(a.forward(&x, Mode::Eval), b.forward(&x, Mode::Eval));
+        assert_eq!(a.forward(&x), b.forward(&x));
     }
 
     #[test]
@@ -441,14 +454,14 @@ mod tests {
         let mut a = Network::new(small_spec(), 7);
         let mut b = Network::new(small_spec(), 8);
         let x = Mat::full(8, 3, 0.3);
-        assert_ne!(a.forward(&x, Mode::Eval), b.forward(&x, Mode::Eval));
+        assert_ne!(a.forward(&x), b.forward(&x));
     }
 
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut net = Network::new(small_spec(), 3);
         let x = Mat::full(8, 3, 0.1);
-        let before = net.forward(&x, Mode::Eval);
+        let before = net.forward(&x);
         let snap = net.snapshot_weights();
         // Perturb weights.
         net.visit_params(&mut |p| {
@@ -456,19 +469,19 @@ mod tests {
                 *w += 1.0;
             }
         });
-        assert_ne!(net.forward(&x, Mode::Eval), before);
+        assert_ne!(net.forward(&x), before);
         net.restore_weights(&snap);
-        assert_eq!(net.forward(&x, Mode::Eval), before);
+        assert_eq!(net.forward(&x), before);
     }
 
     #[test]
     fn json_roundtrip_preserves_predictions() {
         let mut net = Network::new(small_spec(), 3);
         let x = Mat::full(8, 3, 0.1);
-        let before = net.forward(&x, Mode::Eval);
+        let before = net.forward(&x);
         let json = net.to_json().unwrap();
         let mut restored = Network::from_json(&json).unwrap();
-        assert_eq!(restored.forward(&x, Mode::Eval), before);
+        assert_eq!(restored.forward(&x), before);
     }
 
     #[test]
@@ -502,7 +515,7 @@ mod tests {
         // Varying input shapes exercise the scratch-buffer resizing.
         for t in [8usize, 12, 8, 5] {
             let x = Mat::from_vec(t, 3, (0..t * 3).map(|i| ((i as f32) * 0.37).sin()).collect());
-            let reference = net.predict(&x);
+            let reference = net.forward(&x);
             net.predict_scratch(&x, &mut out, &mut scratch);
             assert_eq!(reference, out, "mismatch at t={t}");
         }
@@ -522,7 +535,7 @@ mod tests {
         let mut out = Mat::zeros(0, 0);
         for t in [10usize, 15, 10] {
             let x = Mat::from_vec(t, 4, (0..t * 4).map(|i| ((i as f32) * 0.21).cos()).collect());
-            let reference = net.predict(&x);
+            let reference = net.forward(&x);
             net.predict_scratch(&x, &mut out, &mut scratch);
             assert_eq!(reference, out, "mismatch at t={t}");
         }
@@ -531,26 +544,9 @@ mod tests {
     #[test]
     fn predict_scratch_covers_every_layer_kind() {
         // One network touching the layers not covered above.
-        let spec = NetworkSpec::new(vec![
-            LayerSpec::BatchNorm { dim: 3 },
-            LayerSpec::Conv1d {
-                in_channels: 3,
-                out_channels: 4,
-                kernel: 2,
-                padding: Padding::Valid,
-            },
-            LayerSpec::Tanh,
-            LayerSpec::MaxPool1d { kernel: 2 },
-            LayerSpec::Sigmoid,
-            LayerSpec::GlobalAvgPool,
-            LayerSpec::Dense { in_dim: 4, out_dim: 4 },
-            LayerSpec::Dropout { rate: 0.5 },
-            LayerSpec::Flatten,
-            LayerSpec::Dense { in_dim: 4, out_dim: 2 },
-        ]);
-        let mut net = Network::new(spec, 3);
+        let mut net = Network::new(pool_and_reduce_spec(), 3);
         let x = Mat::from_vec(9, 3, (0..27).map(|i| (i as f32) * 0.1 - 1.3).collect());
-        let reference = net.predict(&x);
+        let reference = net.forward(&x);
         let mut out = Mat::zeros(0, 0);
         net.predict_scratch(&x, &mut out, &mut net.make_scratch());
         assert_eq!(reference, out);
@@ -561,7 +557,7 @@ mod tests {
             LayerSpec::TakeLast,
         ]);
         let mut net = Network::new(spec, 4);
-        let reference = net.predict(&x);
+        let reference = net.forward(&x);
         net.predict_scratch(&x, &mut out, &mut net.make_scratch());
         assert_eq!(reference, out);
     }
@@ -583,10 +579,9 @@ mod tests {
     }
 
     /// Batched inference must be bit-identical, per sequence, to running
-    /// each sequence alone — across every layer kind the workspace models
-    /// use (LSTM, Conv1d, pools, reductions, norm, activations, dense) —
-    /// and so must the projected path of LSTM-led networks, fed rows
-    /// projected one at a time.
+    /// each sequence alone — across every layer kind (LSTM, Conv1d, pools,
+    /// reductions, ReLU, dense) — and so must the projected path of
+    /// LSTM-led networks, fed rows projected one at a time.
     #[test]
     fn predict_batch_into_is_bit_exact_per_sequence() {
         let specs = vec![
@@ -598,23 +593,7 @@ mod tests {
                 LayerSpec::Relu,
                 LayerSpec::Dense { in_dim: 5, out_dim: 2 },
             ]),
-            NetworkSpec::new(vec![
-                LayerSpec::BatchNorm { dim: 3 },
-                LayerSpec::Conv1d {
-                    in_channels: 3,
-                    out_channels: 4,
-                    kernel: 2,
-                    padding: Padding::Valid,
-                },
-                LayerSpec::Tanh,
-                LayerSpec::MaxPool1d { kernel: 2 },
-                LayerSpec::Sigmoid,
-                LayerSpec::GlobalAvgPool,
-                LayerSpec::Dense { in_dim: 4, out_dim: 4 },
-                LayerSpec::Dropout { rate: 0.5 },
-                LayerSpec::Flatten,
-                LayerSpec::Dense { in_dim: 4, out_dim: 2 },
-            ]),
+            pool_and_reduce_spec(),
             NetworkSpec::new(vec![
                 LayerSpec::Lstm { in_dim: 3, hidden: 4, return_sequences: true },
                 LayerSpec::TakeLast,

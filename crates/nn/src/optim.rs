@@ -1,4 +1,4 @@
-//! Optimizers (SGD, Adam) and learning-rate schedules.
+//! The Adam optimizer and the step-decay learning-rate schedule.
 //!
 //! The paper trains every model with Adam plus step-decay of the learning
 //! rate and low initial rates (1e-4 .. 1e-3) "to help the stability of the
@@ -6,42 +6,6 @@
 
 use crate::network::Network;
 use serde::{Deserialize, Serialize};
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer. `momentum = 0` recovers vanilla SGD.
-    pub fn new(momentum: f32) -> Self {
-        Self { momentum, velocity: Vec::new() }
-    }
-
-    /// Applies one update step with learning rate `lr`.
-    pub fn step(&mut self, net: &mut Network, lr: f32) {
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        let mut k = 0;
-        net.visit_params(&mut |p| {
-            if velocity.len() <= k {
-                // lint: allow(alloc, reason = "lazy velocity buffers on the training path; the reactor edge is a receiver-blind .step() collision -- it steps an engine, not an optimizer")
-                velocity.push(vec![0.0; p.len()]);
-            }
-            let v = &mut velocity[k];
-            assert_eq!(v.len(), p.len(), "Sgd: parameter shape changed");
-            for ((w, &g), vi) in
-                p.value.as_mut_slice().iter_mut().zip(p.grad.as_slice().iter()).zip(v.iter_mut())
-            {
-                *vi = momentum * *vi - lr * g;
-                *w += *vi;
-            }
-            k += 1;
-        });
-    }
-}
 
 /// Adam optimizer (Kingma & Ba, 2014), the paper's training algorithm.
 #[derive(Debug, Clone)]
@@ -155,13 +119,13 @@ mod tests {
     }
 
     fn loss_of(net: &mut Network, x: &Mat, y: usize) -> f32 {
-        let logits = net.forward(x, crate::layers::Mode::Train);
+        let logits = net.forward(x);
         cross_entropy(&logits, y).0
     }
 
     fn one_step(net: &mut Network, x: &Mat, y: usize) {
         net.zero_grad();
-        let logits = net.forward(x, crate::layers::Mode::Train);
+        let logits = net.forward(x);
         let (_, grad) = cross_entropy(&logits, y);
         net.backward(&grad);
     }
@@ -179,19 +143,6 @@ mod tests {
         let after = loss_of(&mut net, &x, 0);
         assert!(after < before, "Adam failed to reduce loss: {before} -> {after}");
         assert_eq!(adam.steps(), 50);
-    }
-
-    #[test]
-    fn sgd_reduces_loss() {
-        let mut net = tiny_net();
-        let mut sgd = Sgd::new(0.9);
-        let x = Mat::from_rows(&[&[1.0, -0.5]]);
-        let before = loss_of(&mut net, &x, 1);
-        for _ in 0..50 {
-            one_step(&mut net, &x, 1);
-            sgd.step(&mut net, 0.01);
-        }
-        assert!(loss_of(&mut net, &x, 1) < before);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! (quantize-after-train). Softmax inputs, pooling, and biases stay in
 //! f32. LSTM gate nonlinearities also stay in f32 but swap `libm`
 //! sigmoid/tanh for the deterministic rational approximants
-//! ([`fast_tanh`], error < 1e-4 — far below the tier's own quantization
+//! (`fast_tanh`, error < 1e-4 — far below the tier's own quantization
 //! step): the matrix products *and* the gate math dominate the per-tick
 //! cost, and the int8 tier buys throughput on both.
 //!
@@ -375,10 +375,6 @@ impl QuantizedNetwork {
                         padding,
                     }));
                 }
-                LayerSpec::Tanh => return Err(QuantError::Unsupported("Tanh")),
-                LayerSpec::Sigmoid => return Err(QuantError::Unsupported("Sigmoid")),
-                LayerSpec::Dropout { .. } => return Err(QuantError::Unsupported("Dropout")),
-                LayerSpec::BatchNorm { .. } => return Err(QuantError::Unsupported("BatchNorm")),
                 LayerSpec::MaxPool1d { .. } => return Err(QuantError::Unsupported("MaxPool1d")),
                 LayerSpec::GlobalAvgPool => return Err(QuantError::Unsupported("GlobalAvgPool")),
                 LayerSpec::TakeLast => return Err(QuantError::Unsupported("TakeLast")),
@@ -1206,11 +1202,11 @@ mod tests {
 
     #[test]
     fn unsupported_layers_are_rejected_typed() {
-        let mut net = Network::new(NetworkSpec::new(vec![LayerSpec::BatchNorm { dim: 3 }]), 1);
+        let mut net = Network::new(NetworkSpec::new(vec![LayerSpec::TakeLast]), 1);
         let calib = calib_windows(4, 3, 1);
         assert_eq!(
             QuantizedNetwork::quantize(&mut net, &calib).err(),
-            Some(QuantError::Unsupported("BatchNorm"))
+            Some(QuantError::Unsupported("TakeLast"))
         );
     }
 }

@@ -1,7 +1,6 @@
 //! Mini-batch training loop with early stopping, matching the paper's
 //! recipe: Adam + step-decay + early stopping on a held-out validation set.
 
-use crate::layers::Mode;
 use crate::loss::cross_entropy_weighted;
 use crate::mat::Mat;
 use crate::network::{Network, NetworkScratch};
@@ -114,7 +113,7 @@ pub fn train_classifier(
             net.zero_grad();
             for &idx in batch {
                 let (x, y) = &train[idx];
-                let logits = net.forward(x, Mode::Train);
+                let logits = net.forward(x);
                 let (loss, grad) = cross_entropy_weighted(&logits, *y, weights);
                 epoch_loss += loss as f64;
                 net.backward(&grad);
@@ -163,8 +162,8 @@ pub fn train_classifier(
 /// [`NetworkScratch`] — the same contract as the serving-side inference
 /// paths — so evaluation can run over a network shared across threads
 /// (e.g. the parallel per-gesture training workers) and allocates nothing
-/// per window once the scratch is warm. Bit-identical to the historical
-/// `forward(x, Mode::Eval)` loop.
+/// per window once the scratch is warm. Bit-identical to a
+/// [`Network::forward`] loop.
 pub fn evaluate(
     net: &Network,
     data: &[Sample],

@@ -1,7 +1,7 @@
 //! Property-based tests for the numeric core: matrix algebra laws, softmax
 //! invariants, layer shape contracts, and optimizer sanity.
 
-use nn::layers::{LayerSpec, Mode, Padding};
+use nn::layers::{LayerSpec, Padding};
 use nn::loss::{cross_entropy, softmax};
 use nn::{Mat, Network, NetworkSpec};
 use proptest::prelude::*;
@@ -93,7 +93,7 @@ proptest! {
             LayerSpec::Dense { in_dim: 8, out_dim: 4 },
         ]);
         let mut net = Network::new(spec, seed);
-        let y = net.forward(&Mat::full(t, 6, 0.5), Mode::Eval);
+        let y = net.forward(&Mat::full(t, 6, 0.5));
         prop_assert_eq!(y.shape(), (1, 4));
         prop_assert!(y.as_slice().iter().all(|v| v.is_finite()));
     }
@@ -107,10 +107,10 @@ proptest! {
         ]);
         let mut net = Network::new(spec, seed);
         let x = Mat::full(7, 4, 0.25);
-        let before = net.forward(&x, Mode::Eval);
+        let before = net.forward(&x);
         let json = net.to_json().unwrap();
         let mut restored = Network::from_json(&json).unwrap();
-        prop_assert_eq!(restored.forward(&x, Mode::Eval), before);
+        prop_assert_eq!(restored.forward(&x), before);
     }
 
     /// LSTM hidden states stay strictly inside (-1, 1) for any input.
@@ -122,7 +122,7 @@ proptest! {
             return_sequences: true,
         }]);
         let mut net = Network::new(spec, seed);
-        let y = net.forward(&x, Mode::Eval);
+        let y = net.forward(&x);
         prop_assert!(y.as_slice().iter().all(|v| v.abs() < 1.0));
     }
 

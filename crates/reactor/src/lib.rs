@@ -28,8 +28,9 @@
 //!   so the *prevention* outcome — did the stop land in time? — prices
 //!   them in.
 //!
-//! The per-tick path ([`SafetyReactor::observe`] +
-//! [`SafetyReactor::apply`]) performs **no heap allocation** in steady
+//! The per-tick path (the [`SafetyReactor`]'s
+//! [`CommandFilter::observe`](raven_sim::CommandFilter::observe) +
+//! [`CommandFilter::apply`](raven_sim::CommandFilter::apply)) performs **no heap allocation** in steady
 //! state — proven by the workspace counting-allocator test
 //! (`tests/alloc_free_hot_path.rs`), which measures the reactor with its
 //! mitigation engaged.

@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// path). Each observed frame is stepped through the shared allocation-free
 /// [`InferenceEngine`]; once the unsafe score exceeds the threshold for
 /// [`ReactorConfig::debounce`] consecutive frames, the configured
-/// [`MitigationPolicy`] is scheduled and — after
+/// [`MitigationPolicy`](crate::MitigationPolicy) is scheduled and — after
 /// [`ReactorConfig::actuation_latency`] further ticks — gates the command
 /// stream.
 ///

@@ -3,7 +3,7 @@
 //! Pure-Rust replacement for the Gazebo virtual camera + OpenCV pipeline of
 //! §IV-B: a side-view orthographic camera ([`frame::VirtualCamera`]),
 //! intensity thresholding, connected-component contours and centroid
-//! tracking ([`cv`]), SSIM ([`ssim`]), and the automated block-drop /
+//! tracking ([`cv`]), SSIM ([`ssim`](mod@ssim)), and the automated block-drop /
 //! dropoff-failure labeling pipeline ([`labeling`]) that provides the
 //! orthogonal ground truth for the fault-injection campaigns.
 
