@@ -13,32 +13,22 @@
 //! 1. the fleet `ClosedLoopReport` is **bit-identical** for 1 vs N pool
 //!    workers (and different fleet sizes),
 //! 2. it is bit-identical to the single-robot `run_closed_loop_campaign`
-//!    (prevention strictly above the unmonitored 0% baseline), and
-//! 3. under a forced deadline miss (stalled shard + tiny budget), **zero**
+//!    (prevention strictly above the unmonitored 0% baseline),
+//! 3. the barrier campaign misses no deadline, lets no un-gated command
+//!    through, applies every decision once and removes every session, and
+//! 4. under a forced deadline miss (stalled shard + tiny budget), **zero**
 //!    un-gated commands escape and every late decision applies exactly once.
 
-use bench::{block_transfer_dataset, block_transfer_monitor_cfg, header, Scale};
+use bench::{block_transfer_dataset, block_transfer_monitor_cfg, header, monitor_precision, Scale};
 use context_monitor::{Precision, TrainedPipeline};
 use faults::{
     run_closed_loop_campaign, run_fleet_campaign, run_forced_miss_drill, CampaignConfig,
-    ClosedLoopConfig, FleetConfig,
+    ClosedLoopConfig, FleetConfig, FleetStats,
 };
 use raven_sim::SimConfig;
 use reactor::{MitigationPolicy, ReactorConfig};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Numeric tier for every engine in the campaign, from the
-/// `MONITOR_PRECISION` env knob (`f32` default, `int8`/`i8` for the
-/// quantized tier). An unrecognized value fails loud — a CI matrix row that
-/// silently fell back to f32 would fake quantized coverage.
-fn monitor_precision() -> Precision {
-    match std::env::var("MONITOR_PRECISION") {
-        Ok(v) => Precision::parse(&v)
-            .unwrap_or_else(|| panic!("MONITOR_PRECISION={v}: expected f32, int8, or i8")),
-        Err(_) => Precision::F32,
-    }
-}
 
 fn train_pipeline(scale: Scale, precision: Precision) -> Arc<TrainedPipeline> {
     let ds = block_transfer_dataset(scale);
@@ -62,7 +52,7 @@ fn closed_loop(sim: SimConfig, scale: f32, precision: Precision) -> ClosedLoopCo
     }
 }
 
-fn print_fleet(report: &faults::ClosedLoopReport, stats: &faults::FleetStats) {
+fn print_fleet(report: &faults::ClosedLoopReport, stats: &FleetStats) {
     print!("{}", report.summary().render());
     println!(
         "fleet: {} trials, {} frames through the pool, {} deadline misses",
@@ -94,21 +84,22 @@ fn main() {
             "fleet campaign — {fleet} concurrent procedures x {workers} pool workers \
              ({cores} host core(s), {precision} tier)"
         ));
-        let cfg = FleetConfig::barrier(closed_loop(sim, grid_scale, precision), workers, fleet);
+        let cfg =
+            FleetConfig { closed_loop: closed_loop(sim, grid_scale, precision), workers, fleet };
         let (report, stats) = run_fleet_campaign(&cfg, &pipeline).expect("valid config");
         print_fleet(&report, &stats);
     }
 
     header("forced deadline miss (stalled shard, 2 ms budget)");
-    let mut cfg = FleetConfig::barrier(closed_loop(sim, grid_scale, precision), 2, 2);
-    cfg.tick_budget_ms = Some(2.0);
+    let cfg =
+        FleetConfig { closed_loop: closed_loop(sim, grid_scale, precision), workers: 2, fleet: 2 };
     let drill =
         run_forced_miss_drill(&cfg, &pipeline, Duration::from_millis(150)).expect("valid config");
     println!(
-        "{} trials x {} ticks: {} deadline misses, {} un-gated commands during misses, \
+        "{} trials, {} frames: {} deadline misses, {} un-gated commands during misses, \
          {}/{} decisions applied",
         drill.trials,
-        drill.ticks,
+        drill.frames,
         drill.deadline_misses,
         drill.ungated_during_miss,
         drill.decisions_applied,
@@ -126,15 +117,22 @@ fn smoke() {
     let pipeline = train_pipeline(Scale::Fast, precision);
     let cl = closed_loop(sim, 0.05, precision);
 
-    let (one, _) = run_fleet_campaign(&FleetConfig::barrier(cl, 1, 3), &pipeline)
-        .expect("smoke config is valid");
-    let (many, stats) = run_fleet_campaign(&FleetConfig::barrier(cl, 4, 8), &pipeline)
-        .expect("smoke config is valid");
+    let fleet_cfg = |workers, fleet| FleetConfig { closed_loop: cl, workers, fleet };
+    let (one, _) = run_fleet_campaign(&fleet_cfg(1, 3), &pipeline).expect("smoke config is valid");
+    let (many, stats) =
+        run_fleet_campaign(&fleet_cfg(4, 8), &pipeline).expect("smoke config is valid");
     assert_eq!(
         one, many,
         "fleet report must be bit-identical for 1 vs 4 pool workers (3 vs 8 sessions)"
     );
     assert_eq!(stats.deadline_misses, 0, "barrier drain never misses a deadline");
+    assert_eq!(stats.ungated_during_miss, 0, "barrier drain holds no tick, so none escapes");
+    assert_eq!(stats.decisions_applied, stats.frames, "every decision applied exactly once");
+    assert!(
+        stats.pool.occupancy.iter().all(|&n| n == 0),
+        "every trial's session must be removed: occupancy {:?}",
+        stats.pool.occupancy
+    );
 
     let single = run_closed_loop_campaign(&cl, &pipeline).expect("smoke config is valid");
     assert_eq!(one, single, "fleet must reproduce the single-robot closed loop bit-for-bit");
@@ -144,9 +142,7 @@ fn smoke() {
     assert!(s.prevented > 0, "prevention must be strictly above the unmonitored baseline (0%)");
     print_fleet(&one, &stats);
 
-    let mut drill_cfg = FleetConfig::barrier(cl, 2, 2);
-    drill_cfg.tick_budget_ms = Some(2.0);
-    let drill = run_forced_miss_drill(&drill_cfg, &pipeline, Duration::from_millis(120))
+    let drill = run_forced_miss_drill(&fleet_cfg(2, 2), &pipeline, Duration::from_millis(120))
         .expect("smoke config is valid");
     assert!(drill.deadline_misses > 0, "the stalled shard must force deadline misses");
     assert_eq!(drill.ungated_during_miss, 0, "zero un-gated commands under a deadline miss");

@@ -30,7 +30,7 @@
 //! `BENCH_ingress.json` (f32 tier) or `BENCH_ingress_int8.json`
 //! (`MONITOR_PRECISION=int8`) at the repo root.
 
-use bench::{header, jigsaws_dataset, suturing_monitor_cfg, Scale};
+use bench::{header, jigsaws_dataset, monitor_precision, suturing_monitor_cfg, Scale};
 use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
 use context_monitor::{ContextMode, Precision, TrainedPipeline};
 use gestures::Task;
@@ -40,18 +40,6 @@ use ingress::loadgen::{self, LoadReport, LoadgenConfig};
 use ingress::server::{IngressServer, ServerConfig};
 use kinematics::Dataset;
 use std::sync::Arc;
-
-/// Numeric tier for every engine behind the socket, from the
-/// `MONITOR_PRECISION` env knob (`f32` default, `int8`/`i8` for the
-/// quantized tier). An unrecognized value fails loud — a CI matrix row
-/// that silently fell back to f32 would fake quantized coverage.
-fn monitor_precision() -> Precision {
-    match std::env::var("MONITOR_PRECISION") {
-        Ok(v) => Precision::parse(&v)
-            .unwrap_or_else(|| panic!("MONITOR_PRECISION={v}: expected f32, int8, or i8")),
-        Err(_) => Precision::F32,
-    }
-}
 
 fn train_pipeline(scale: Scale, precision: Precision) -> (Arc<TrainedPipeline>, Dataset) {
     let ds = jigsaws_dataset(Task::Suturing, scale);

@@ -13,7 +13,7 @@
 
 #![warn(missing_docs)]
 
-use context_monitor::{ErrorModelKind, MonitorConfig};
+use context_monitor::{ErrorModelKind, MonitorConfig, Precision};
 use faults::{build_block_transfer_dataset, BlockTransferDataConfig};
 use gestures::Task;
 use jigsaws::{generate, GeneratorConfig};
@@ -36,6 +36,22 @@ impl Scale {
             Ok("full") => Scale::Full,
             _ => Scale::Fast,
         }
+    }
+}
+
+/// Numeric tier for every engine a binary runs, from the
+/// `MONITOR_PRECISION` environment variable (`f32` default, `int8`/`i8`
+/// for the quantized tier).
+///
+/// # Panics
+///
+/// Panics on an unrecognized value: a CI matrix row that silently fell
+/// back to f32 would fake quantized coverage.
+pub fn monitor_precision() -> Precision {
+    match std::env::var("MONITOR_PRECISION") {
+        Ok(v) => Precision::parse(&v)
+            .unwrap_or_else(|| panic!("MONITOR_PRECISION={v}: expected f32, int8, or i8")),
+        Err(_) => Precision::F32,
     }
 }
 

@@ -9,8 +9,9 @@
 //! home: its decision plus the frame buffer, for reuse by the next submit.
 //! The fleet is **elastic**: sessions can be
 //! [removed](ShardedMonitorPool::remove_session) at any time — their engine
-//! slot is recycled by the next [`add_session`](ShardedMonitorPool::add_session)
-//! while decisions already in flight drain normally — so clients of a
+//! slot is reset and reused by the next
+//! [`add_session`](ShardedMonitorPool::add_session) while decisions already
+//! in flight drain normally — so clients of a
 //! long-running pool can connect and leave at will. Each worker owns only the
 //! **per-session** state (a [`Shard`]: its sessions' [`InferenceEngine`]s
 //! plus batch scratch); the [`TrainedPipeline`] — the model weights — is
@@ -115,9 +116,9 @@ pub struct Decision {
 }
 
 enum Job {
-    /// Frame `index` of `session` since its last reset. The pool stamps
-    /// both at submit, so only the pool knows frame identity; the worker
-    /// just carries them home with the decision.
+    /// Frame `index` of `session`. The pool stamps both at submit, so only
+    /// the pool knows frame identity; the worker just carries them home
+    /// with the decision.
     Frame {
         slot: usize,
         session: SessionId,
@@ -128,13 +129,8 @@ enum Job {
     },
     /// [`Shard::bind`]s engine slot `slot` to a new session. Queued in job
     /// order, so frames of the slot's previous tenant (all enqueued before
-    /// the [`Job::Reset`] that freed it) are scored before the new tenant
-    /// starts.
+    /// its removal freed the slot) are scored before the new tenant starts.
     Bind { slot: usize },
-    /// [`Shard::reset`]s a slot, on session removal and on
-    /// [`ShardedMonitorPool::reset_session`] alike, so the session's last
-    /// queued frame still emits its decision.
-    Reset { slot: usize },
     /// Chaos hook: the worker sleeps before processing anything queued
     /// behind this job — see [`ShardedMonitorPool::inject_stall`].
     Stall { dur: Duration },
@@ -473,14 +469,15 @@ impl ShardedMonitorPool {
     }
 
     /// Removes `session` from the pool: its engine slot is freed for the
-    /// next [`ShardedMonitorPool::add_session`] (recycled slots go back to
-    /// the least-occupied shard's pool) and the freed capacity stops
-    /// counting toward shard occupancy. Decisions for frames submitted
-    /// before the removal are **not** lost — they drain through
+    /// next [`ShardedMonitorPool::add_session`] on that shard, whose bind
+    /// resets the engine, and the freed capacity stops counting toward
+    /// shard occupancy. Nothing is sent to the shard. Decisions for frames
+    /// submitted before the removal are **not** lost — they drain through
     /// [`ShardedMonitorPool::drain_deadline`] / [`ShardedMonitorPool::flush`]
     /// as usual, tagged with the removed session's id (ids are never reused,
-    /// so late decisions stay unambiguous). Submitting to (or resetting) a
-    /// removed session panics.
+    /// so late decisions stay unambiguous). Submitting to a removed session
+    /// panics. A caller that wants a session to start over removes it and
+    /// adds a new one.
     ///
     /// Surviving sessions are unaffected bit-for-bit: their decision
     /// streams equal a pool that never saw the removed session (asserted
@@ -496,18 +493,11 @@ impl ShardedMonitorPool {
         self.occupancy[shard] -= 1; // lint: allow(panic, reason = "shard stored by add_session, within the workers range")
         self.live -= 1;
         self.free[shard].push(slot); // lint: allow(panic, reason = "shard stored by add_session, within the workers range")
-        self.send(shard, Job::Reset { slot });
     }
 
     /// Number of live (added and not removed) sessions.
     pub fn session_count(&self) -> usize {
         self.live
-    }
-
-    /// Session ids handed out so far, removed ones included — the exclusive
-    /// upper bound of every id this pool ever tagged a decision with.
-    pub fn sessions_opened(&self) -> usize {
-        self.assignments.len()
     }
 
     /// Whether `session` is currently live (opened and not removed).
@@ -617,29 +607,6 @@ impl ShardedMonitorPool {
         // lint: allow(determinism, reason = "latency telemetry timestamp; never feeds the decision value, which replays bit-identically")
         let submitted = Instant::now();
         self.send(shard, Job::Frame { slot, session, index, frame, context, submitted });
-    }
-
-    /// Restores `session` to a cold, freshly added state: the engine's
-    /// windows and smoothing filter are cleared and its frame counter
-    /// rewinds to 0, so the next submitted frame is frame 0 again — the
-    /// pool's counterpart of [`InferenceEngine::reset`], letting a fleet
-    /// driver reuse pool sessions across trials instead of growing the pool
-    /// forever.
-    ///
-    /// The reset is queued behind the session's in-flight frames (shard jobs
-    /// execute in submission order), but decisions for frames submitted
-    /// before the reset keep their pre-reset frame indices — drain them
-    /// (e.g. [`ShardedMonitorPool::flush`]) before reusing the session if
-    /// frame numbering matters to you.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown or removed session id.
-    pub fn reset_session(&mut self, session: SessionId) {
-        let (shard, slot) = self.assignment(session);
-        // lint: allow(panic, reason = "submitted grows in lockstep with assignments; assignment() above vouched for session")
-        self.submitted[session] = 0;
-        self.send(shard, Job::Reset { slot });
     }
 
     /// Chaos hook: makes shard `shard` sleep for `dur` at the point the
@@ -862,10 +829,10 @@ pub struct Scored<T> {
 /// one, and so does each event loop of the network ingress service.
 ///
 /// Sessions live in engine *slots*: a slot is bound to a session, and
-/// recycled for a new one once the session leaves. A tick holds at most
-/// one frame per slot, so a slot's second frame, a reset of the slot or
-/// its rebinding first runs the pending tick: a session's frames are
-/// scored in order, and its state rewinds only after its last frame is
+/// rebound to a new one once the session leaves; the caller keeps the free
+/// slots. A tick holds at most one frame per slot, so a slot's second
+/// frame or its rebinding first runs the pending tick: a session's frames
+/// are scored in order, and its state rewinds only after its last frame is
 /// scored. Each scored frame waits, with the tag it was pushed with, until
 /// the caller takes it with [`Shard::take_scored`]. Every buffer is reused
 /// across ticks, so the steady state allocates nothing.
@@ -925,10 +892,10 @@ impl<T> Shard<T> {
     }
 
     /// Binds `slot` to a new session: the fresh slot
-    /// ([`Shard::slot_count`]) grows the shard, and a recycled slot is
-    /// [reset](Shard::reset), even if that was done when its last session
-    /// left, since a stale window leaking into a new session would corrupt
-    /// silently.
+    /// ([`Shard::slot_count`]) grows the shard, and a recycled slot rewinds
+    /// to a cold engine, after scoring the frame the pending tick holds for
+    /// its last session, if any. A slot is reset here and nowhere else, so
+    /// no stale window can leak into a new session.
     ///
     /// # Panics
     ///
@@ -942,19 +909,9 @@ impl<T> Shard<T> {
             ));
             self.in_tick.push(false);
         } else {
-            self.reset(slot);
+            self.settle(slot);
+            self.engines[slot].reset(); // lint: allow(panic, reason = "documented panic on a slot past the fresh one")
         }
-    }
-
-    /// Rewinds `slot` to a cold engine, after scoring the frame the pending
-    /// tick holds for it, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a slot never bound.
-    pub fn reset(&mut self, slot: usize) {
-        self.settle(slot);
-        self.engines[slot].reset(); // lint: allow(panic, reason = "documented panic on a slot never bound")
     }
 
     /// Adds `frame` of `slot`'s session to the pending tick, tagged with
@@ -1043,7 +1000,6 @@ fn worker_loop(mut shard: Shard<Stamp>, jobs: &Queue<Job>, home: &Queue<Scored<S
         for job in batch.drain(..) {
             match job {
                 Job::Bind { slot } => shard.bind(slot),
-                Job::Reset { slot } => shard.reset(slot),
                 Job::Stall { dur } => std::thread::sleep(dur),
                 Job::Frame { slot, session, index, frame, context, submitted } => {
                     shard.push_frame(slot, frame, context, (session, index, submitted));

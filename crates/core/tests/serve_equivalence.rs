@@ -6,7 +6,7 @@
 //! training seeds.
 //! This is the acceptance criterion CI enforces under `--release`.
 
-use context_monitor::serve::{ServeConfig, ShardedMonitorPool};
+use context_monitor::serve::{ServeConfig, Shard, ShardedMonitorPool};
 use context_monitor::{
     step_batch, BatchJob, BatchScratch, ContextMode, EngineError, InferenceEngine, MonitorConfig,
     Precision, TrainStages, TrainedPipeline,
@@ -317,68 +317,6 @@ fn latency_stats_cover_drained_decisions() {
     }
 }
 
-/// `reset_session` on the sharded pool restores a cold session: the same
-/// frames replayed after a reset produce bit-exactly the decisions of a
-/// fresh session, and frame numbering restarts at 0.
-#[test]
-fn sharded_reset_session_replays_bit_equal() {
-    let (pipeline, ds) = tiny_pipeline(53);
-    let mut pool = ShardedMonitorPool::with_sessions(
-        Arc::new(pipeline),
-        ContextMode::Predicted,
-        ServeConfig { workers: 2, threshold: 0.5, precision: Precision::F32 },
-        3,
-    );
-    let frames = 48usize;
-    let run = |pool: &mut ShardedMonitorPool| -> Vec<Vec<(usize, Key)>> {
-        for t in 0..frames {
-            for s in 0..3 {
-                pool.submit(s, &ds.demos[s].frames[t]).expect("Predicted mode");
-            }
-        }
-        let mut outs: Vec<Vec<(usize, Key)>> = vec![Vec::new(); 3];
-        for d in pool.flush() {
-            if let Some(o) = d.output {
-                outs[d.session]
-                    .push((d.frame, (o.gesture.index(), o.unsafe_probability.to_bits(), o.alert)));
-            }
-        }
-        outs
-    };
-
-    let first = run(&mut pool);
-    assert!(first.iter().any(|s| !s.is_empty()), "sessions should warm up");
-    for s in 0..3 {
-        pool.reset_session(s);
-        assert_eq!(pool.frames_submitted(s), 0, "reset rewinds the frame counter");
-    }
-    let second = run(&mut pool);
-    assert_eq!(first, second, "a reset session must replay bit-equal to a fresh one");
-
-    // Resetting only session 0 mid-stream, with frames in flight, leaves
-    // sessions 1 and 2 bit-identical to the run without the reset.
-    for s in 0..3 {
-        pool.reset_session(s);
-    }
-    let mut third: Vec<Vec<(usize, Key)>> = vec![Vec::new(); 3];
-    for t in 0..frames {
-        if t == frames / 2 {
-            pool.reset_session(0);
-        }
-        for s in 0..3 {
-            pool.submit(s, &ds.demos[s].frames[t]).expect("Predicted mode");
-        }
-    }
-    for d in pool.flush() {
-        if let Some(o) = d.output {
-            third[d.session]
-                .push((d.frame, (o.gesture.index(), o.unsafe_probability.to_bits(), o.alert)));
-        }
-    }
-    assert!(third[0].len() < first[0].len(), "session 0 must warm up again after its reset");
-    assert_eq!(third[1..], first[1..], "resetting session 0 must not touch sessions 1 and 2");
-}
-
 /// A deliberately stalled shard delays its decisions past a deadline-gated
 /// drain; the late decisions still arrive (exactly once, in frame order) on
 /// the next drain, and nothing is lost.
@@ -473,7 +411,6 @@ fn remove_session_leaves_survivors_bit_identical() {
     pool.remove_session(1);
     assert!(!pool.is_live(1));
     assert_eq!(pool.session_count(), 2);
-    assert_eq!(pool.sessions_opened(), 3, "ids are never reused");
     assert_eq!(pool.stats().occupancy, vec![2, 0], "the freed slot stops counting");
     for t in half..frames {
         for s in [0usize, 2] {
@@ -503,7 +440,7 @@ fn remove_session_leaves_survivors_bit_identical() {
     // The freed slot is recycled: the next add_session lands on the
     // just-freed shard and starts cold — bit-identical to a fresh pool.
     let id = pool.add_session();
-    assert_eq!(id, 3, "session ids keep growing");
+    assert_eq!(id, 3, "session ids keep growing: removed id 1 is never reused");
     assert_eq!(pool.stats().occupancy, vec![2, 1], "recycled slot fills the gap");
     for t in 0..half {
         pool.submit(id, &ds.demos[1].frames[t]).expect("Predicted mode");
@@ -516,6 +453,53 @@ fn remove_session_leaves_survivors_bit_identical() {
     }
     let fresh = collect(&mut fresh_pool, 1).remove(0);
     assert_eq!(recycled, fresh, "a recycled slot must start as cold as a fresh pool");
+}
+
+/// Rebinding a slot is the only way it resets: `Shard::bind` first scores
+/// the frame the pending tick still holds for the slot's last session, then
+/// rewinds the engine, so the old tenant loses no decision and the new one
+/// starts as cold as a fresh shard.
+#[test]
+fn rebinding_a_slot_scores_its_pending_frame_then_starts_cold() {
+    let (pipeline, ds) = tiny_pipeline(53);
+    let pipeline = Arc::new(pipeline);
+    let cfg = ServeConfig { workers: 1, threshold: 0.5, precision: Precision::F32 };
+    let frames = 48usize;
+    // Pushes a demo's first `frames` frames to slot 0, tagged with their
+    // index; each push runs the tick holding the one before, so the last
+    // frame stays pending.
+    let stream = |shard: &mut Shard<usize>, demo: usize| {
+        for t in 0..frames {
+            shard.push_frame(0, ds.demos[demo].frames[t].clone(), None, t);
+        }
+    };
+    let keys = |shard: &mut Shard<usize>| -> Vec<(usize, Key)> {
+        let scored = shard.take_scored();
+        scored
+            .filter_map(|s| {
+                let o = s.output?;
+                Some((s.tag, (o.gesture.index(), o.unsafe_probability.to_bits(), o.alert)))
+            })
+            .collect()
+    };
+    let fresh = |demo: usize| {
+        let mut shard = Shard::new(Arc::clone(&pipeline), ContextMode::Predicted, cfg);
+        shard.bind(0);
+        stream(&mut shard, demo);
+        shard.run_tick();
+        keys(&mut shard)
+    };
+
+    let mut shard = Shard::new(Arc::clone(&pipeline), ContextMode::Predicted, cfg);
+    shard.bind(0);
+    stream(&mut shard, 0);
+    shard.bind(0);
+    let first = keys(&mut shard);
+    assert_eq!(first.last().map(|k| k.0), Some(frames - 1), "the pending frame is scored");
+    assert_eq!(first, fresh(0), "the old tenant's stream must equal an unbroken run");
+    stream(&mut shard, 1);
+    shard.run_tick();
+    assert_eq!(keys(&mut shard), fresh(1), "the new tenant must start as cold as a fresh shard");
 }
 
 /// A two-worker pool over an untrained pipeline (session 0 on shard 0,

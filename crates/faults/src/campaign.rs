@@ -208,6 +208,20 @@ pub(crate) fn grid_work(grid: &[GridCell], cfg: &CampaignConfig) -> Vec<(usize, 
     work
 }
 
+/// The fault and the simulator configuration of work item `(ci, seed)`.
+/// Every campaign derives its trials here, so an open-loop trial, its
+/// unmonitored twin and its monitored twin (in-process or pooled) are one
+/// trial.
+pub(crate) fn derive_trial(
+    grid: &[GridCell],
+    ci: usize,
+    seed: u64,
+    sim: SimConfig,
+) -> (FaultSpec, SimConfig) {
+    let spec = sample_spec(&grid[ci], &mut SmallRng::seed_from_u64(seed));
+    (spec, SimConfig { seed, ..sim })
+}
+
 /// Runs the campaign over the Table III grid.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let grid = table3_grid();
@@ -221,9 +235,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let sim = cfg.sim;
     let outcomes: Vec<(usize, Option<FailureMode>)> =
         parallel_map(&work, cfg.threads.max(1), |&(ci, seed)| {
-            let mut trial_rng = SmallRng::seed_from_u64(seed);
-            let spec = sample_spec(&grid[ci], &mut trial_rng);
-            let sim_cfg = SimConfig { seed, ..sim };
+            let (spec, sim_cfg) = derive_trial(&grid, ci, seed, sim);
             let (trial, _) = run_injection(&sim_cfg, spec);
             (ci, trial.outcome.failure)
         });
@@ -517,9 +529,7 @@ pub fn run_closed_loop_campaign(
 
     let outcomes: Vec<TwinOutcome> =
         parallel_map(&work, cfg.campaign.threads.max(1), |&(ci, seed)| {
-            let mut trial_rng = SmallRng::seed_from_u64(seed);
-            let spec = sample_spec(&grid[ci], &mut trial_rng);
-            let sim_cfg = SimConfig { seed, ..sim };
+            let (spec, sim_cfg) = derive_trial(&grid, ci, seed, sim);
 
             // Unmonitored twin: the counterfactual.
             let (baseline, _) = run_injection(&sim_cfg, spec);

@@ -12,11 +12,14 @@
 //!   executed unmonitored and behind a `reactor::SafetyReactor` with the
 //!   same seeds, yielding prevention rate, false-stop rate, and
 //!   reaction-time margins,
-//! * [`fleet`] — the fleet-scale closed loop ([`run_fleet_campaign`]): N
-//!   concurrent guarded procedures in lockstep over **one** shared
-//!   `ShardedMonitorPool`, with a per-tick decision deadline, fail-safe
-//!   holds on misses ([`run_forced_miss_drill`]), and a bit-identical
-//!   report across pool worker counts,
+//! * [`fleet`] — the fleet-scale closed loop: N concurrent guarded
+//!   procedures in lockstep over **one** shared `ShardedMonitorPool`, run
+//!   by one loop that opens a session per trial, drains the pool each tick
+//!   and removes the session when the trial ends. The campaign
+//!   ([`run_fleet_campaign`]) drains with a barrier and reports
+//!   bit-identically across pool worker counts; the drill
+//!   ([`run_forced_miss_drill`]) drains within a per-tick 2 ms budget and
+//!   audits the fail-safe holds on misses,
 //! * [`dataset`] — the 115-demonstration Block Transfer training set with
 //!   gesture-level error labels derived from injection + manifestation
 //!   times.
@@ -36,8 +39,5 @@ pub use campaign::{
     GridCell, TwinOutcome,
 };
 pub use dataset::{build_block_transfer_dataset, relabel_with_injection, BlockTransferDataConfig};
-pub use fleet::{
-    run_elastic_wave, run_fleet_campaign, run_forced_miss_drill, DrillReport, ElasticOutcome,
-    ElasticStats, FleetConfig, FleetStats,
-};
+pub use fleet::{run_fleet_campaign, run_forced_miss_drill, FleetConfig, FleetStats};
 pub use spec::{CartesianFault, FaultInjector, FaultSpec, GrasperFault, TARGET_ARM};

@@ -15,8 +15,7 @@
 //! **deadline**. A pool decision travels ingress → shard → egress, and under
 //! load (or a stalled shard) it can miss the tick it was meant to gate.
 //! [`PooledReactor::apply`] therefore fails safe: when the decision for
-//! frame `t - 1 - deadline_ticks` has not been applied by tick `t`'s
-//! actuation, the commands are held at the **last un-gated setpoint** — an
+//! frame `t - 1` has not been applied by tick `t`'s actuation, the commands are held at the **last un-gated setpoint** — an
 //! unexamined plan command is never emitted — and the miss is counted. Late
 //! decisions are applied exactly once, in frame order, when they arrive.
 
@@ -222,9 +221,6 @@ impl AlertGate {
 #[derive(Debug, Clone)]
 pub struct PooledReactor {
     gate: AlertGate,
-    /// Allowed decision lag in ticks beyond the structural one-tick sensing
-    /// delay (0 = the decision for frame `t-1` must be in before tick `t`).
-    deadline_ticks: usize,
     /// Decisions applied so far == the next expected frame index.
     decided: usize,
     /// Ticks whose commands were fail-safe-held because the required
@@ -236,19 +232,14 @@ pub struct PooledReactor {
 }
 
 impl PooledReactor {
-    /// Creates a pool-fed reactor with the given decision-deadline budget.
+    /// Creates a pool-fed reactor whose tick `t` requires the decision for
+    /// frame `t - 1`, the structural one-tick sensing delay.
     ///
     /// # Errors
     ///
     /// [`ConfigError`] when the config fails [`ReactorConfig::validate`].
-    pub fn new(cfg: ReactorConfig, deadline_ticks: usize) -> Result<Self, ConfigError> {
-        Ok(Self {
-            gate: AlertGate::new(cfg)?,
-            deadline_ticks,
-            decided: 0,
-            deadline_misses: 0,
-            failsafe_hold: None,
-        })
+    pub fn new(cfg: ReactorConfig) -> Result<Self, ConfigError> {
+        Ok(Self { gate: AlertGate::new(cfg)?, decided: 0, deadline_misses: 0, failsafe_hold: None })
     }
 
     /// The underlying state machine (alert counts, engage tick, …).
@@ -268,19 +259,10 @@ impl PooledReactor {
         self.deadline_misses
     }
 
-    /// Whether the last [`PooledReactor::apply`] failed safe (decisions
-    /// were lagging past the deadline budget at that tick).
+    /// Whether the last [`PooledReactor::apply`] failed safe (the decision
+    /// for the frame before that tick had not been applied).
     pub fn failing_safe(&self) -> bool {
         self.failsafe_hold.is_some()
-    }
-
-    /// Clears all per-trial state so the reactor can guard another trial
-    /// (pair with `ShardedMonitorPool::reset_session`).
-    pub fn reset(&mut self) {
-        self.gate.reset();
-        self.decided = 0;
-        self.deadline_misses = 0;
-        self.failsafe_hold = None;
     }
 
     /// Applies one drained pool decision. Decisions must arrive in frame
@@ -313,10 +295,10 @@ impl PooledReactor {
 
 impl CommandFilter for PooledReactor {
     /// Gates the commands of `tick`, failing safe when the decision for
-    /// frame `tick - 1 - deadline_ticks` has not been applied yet.
+    /// frame `tick - 1` has not been applied yet.
     // lint: hot-path
     fn apply(&mut self, tick: usize, _progress: f32, commands: &mut Commands) {
-        if let Some(required_frame) = tick.checked_sub(1 + self.deadline_ticks) {
+        if let Some(required_frame) = tick.checked_sub(1) {
             if self.decided <= required_frame {
                 // Deadline miss: the gating decision is still in flight.
                 // Never emit an unexamined plan command — hold the last
@@ -365,38 +347,35 @@ mod tests {
         }
     }
 
-    fn reactor(deadline_ticks: usize) -> PooledReactor {
-        PooledReactor::new(
-            ReactorConfig { debounce: 2, actuation_latency: 0, ..ReactorConfig::default() },
-            deadline_ticks,
-        )
+    fn reactor() -> PooledReactor {
+        PooledReactor::new(ReactorConfig {
+            debounce: 2,
+            actuation_latency: 0,
+            ..ReactorConfig::default()
+        })
         .expect("valid config")
     }
 
     #[test]
     fn invalid_configs_are_typed_errors() {
         assert_eq!(
-            PooledReactor::new(ReactorConfig { threshold: 0.0, ..Default::default() }, 0)
-                .unwrap_err(),
+            PooledReactor::new(ReactorConfig { threshold: 0.0, ..Default::default() }).unwrap_err(),
             ConfigError::Threshold(0.0)
         );
         assert_eq!(
-            PooledReactor::new(ReactorConfig { debounce: 0, ..Default::default() }, 0).unwrap_err(),
+            PooledReactor::new(ReactorConfig { debounce: 0, ..Default::default() }).unwrap_err(),
             ConfigError::ZeroDebounce
         );
         assert_eq!(
-            PooledReactor::new(
-                ReactorConfig { mode: ContextMode::Perfect, ..Default::default() },
-                0
-            )
-            .unwrap_err(),
+            PooledReactor::new(ReactorConfig { mode: ContextMode::Perfect, ..Default::default() })
+                .unwrap_err(),
             ConfigError::PerfectContext
         );
     }
 
     #[test]
     fn on_time_decisions_gate_like_the_state_machine_says() {
-        let mut r = reactor(0);
+        let mut r = reactor();
         // Tick 0 needs no decision yet.
         let mut c = cmds(0.0);
         r.apply(0, 0.0, &mut c);
@@ -422,7 +401,7 @@ mod tests {
 
     #[test]
     fn missing_decision_fails_safe_and_late_arrival_is_applied_once() {
-        let mut r = reactor(0);
+        let mut r = reactor();
         let mut c = cmds(0.0);
         r.apply(0, 0.0, &mut c); // no decision required yet
                                  // Decision for frame 0 never drained: tick 1 must fail safe on the
@@ -456,48 +435,17 @@ mod tests {
     }
 
     #[test]
-    fn deadline_budget_tolerates_allowed_lag() {
-        let mut r = reactor(1); // one extra tick of allowed lag
-        let mut c = cmds(0.0);
-        r.apply(0, 0.0, &mut c);
-        let mut c = cmds(1.0);
-        r.apply(1, 0.0, &mut c);
-        assert_eq!(c, cmds(1.0), "frame 0's decision may lag one tick");
-        assert_eq!(r.deadline_misses(), 0);
-        let mut c = cmds(2.0);
-        r.apply(2, 0.0, &mut c);
-        assert_eq!(c, cmds(1.0), "two ticks of lag exceeds the budget");
-        assert_eq!(r.deadline_misses(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "frame order")]
     fn out_of_order_decision_is_rejected() {
-        let mut r = reactor(0);
+        let mut r = reactor();
         r.on_decision(&decision(1, None));
     }
 
     #[test]
     #[should_panic(expected = "frame order")]
     fn duplicate_decision_is_rejected() {
-        let mut r = reactor(0);
+        let mut r = reactor();
         r.on_decision(&decision(0, None));
         r.on_decision(&decision(0, None));
-    }
-
-    #[test]
-    fn reset_restores_a_cold_gate() {
-        let mut r = reactor(0);
-        r.apply(0, 0.0, &mut cmds(0.0));
-        r.on_decision(&decision(0, Some(0.9)));
-        r.apply(1, 0.0, &mut cmds(1.0));
-        r.apply(2, 0.0, &mut cmds(2.0)); // miss (frame 1 undecided)
-        assert!(r.deadline_misses() > 0);
-        r.reset();
-        assert_eq!(r.decisions_applied(), 0);
-        assert_eq!(r.deadline_misses(), 0);
-        assert!(!r.failing_safe());
-        assert_eq!(r.gate().alerts(), 0);
-        assert_eq!(r.gate().first_alert_tick(), None);
     }
 }

@@ -427,7 +427,7 @@ mod tests {
                 ServeConfig { workers: 1, threshold: 0.5, precision: cfg.precision },
                 1,
             );
-            let mut gate = PooledReactor::new(cfg, 0).expect("valid config");
+            let mut gate = PooledReactor::new(cfg).expect("valid config");
             let mut pooled = Vec::new();
             let mut decisions: Vec<Decision> = Vec::new();
             for t in 0..n {

@@ -237,14 +237,11 @@ fn steady_state_monitor_push_performs_no_heap_allocation() {
         ServeConfig { workers: 1, threshold: 0.5, precision: Precision::F32 },
         1,
     );
-    let mut gate = PooledReactor::new(
-        ReactorConfig {
-            threshold: 1e-6,
-            policy: MitigationPolicy::StopAndHold,
-            ..ReactorConfig::default()
-        },
-        0,
-    )
+    let mut gate = PooledReactor::new(ReactorConfig {
+        threshold: 1e-6,
+        policy: MitigationPolicy::StopAndHold,
+        ..ReactorConfig::default()
+    })
     .expect("valid config");
     let mut decisions: Vec<Decision> = Vec::new();
     let mut tick = |t: usize, gate: &mut PooledReactor, pool: &mut ShardedMonitorPool| {
